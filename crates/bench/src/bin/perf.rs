@@ -9,7 +9,8 @@
 //!   instance;
 //! * **warm** — `schedule_into()` re-solving the *same* instance on one
 //!   persistent [`SchedScratch`]: the steady state of service
-//!   resubmissions, where HeRAD's replay memo short-circuits the DP;
+//!   resubmissions, where HeRAD extracts from the scratch's parked
+//!   table without touching the DP;
 //! * **cold_sweep / warm_sweep** — the same `(b, ℓ)` *grid sweep* (every
 //!   chain at every pool in `SWEEP_STEPS²`, chain-major) solved cold
 //!   versus on one persistent scratch. The sweep is the shape behind the
@@ -37,8 +38,10 @@
 //!
 //! * the warm steady state performs any heap allocation;
 //! * `sweep_speedup < 1.5` (pool-delta warm starts regressed);
-//! * the batched median exceeds the cold median (batching must never be
-//!   slower than solving cold on one thread).
+//! * the batched median exceeds the cold median or the cold sweep median
+//!   (batching must never be slower than solving cold on one thread);
+//! * the service's chain tier pays anything but exactly one cold solve
+//!   per chain over the sweep, or its sweep speedup drops below 1.5.
 //!
 //! ```text
 //! perf [--smoke] [--out PATH]
@@ -268,8 +271,9 @@ fn bench_strategy(
     // the per-thread counter is exact; the batched pass may spawn workers
     // and is counted through the process-wide counter over a quiesced
     // round (scratches already warm, so the count is results + solutions,
-    // not arena growth). The warm pass exercises both memo hits (same
-    // instance twice) and misses (instance changes between jobs).
+    // not arena growth). The warm pass exercises both extractions from
+    // the parked table (same instance twice) and rebuilds that reuse its
+    // buffers (the chain changes between jobs).
     let (_, cold_allocs) = alloc_track::count_thread_allocs(|| {
         for &(chain, r) in &jobs {
             black_box(strategy.schedule(chain, r));

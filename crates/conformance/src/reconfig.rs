@@ -65,16 +65,9 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
     let mut warm = Solution::empty();
     let mut feasible: Vec<Solution> = Vec::new();
     for &r in &script {
-        let t = match table.as_mut() {
-            None => table.insert(ChainTable::solve(&chain, r)),
-            Some(t) => {
-                if !t.covers(r) {
-                    t.grow_to(&chain, r);
-                }
-                t
-            }
-        };
-        let got = t.extract(&chain, r, &mut warm).then(|| warm.clone());
+        let got = ChainTable::serve(&mut table, &chain, r, &mut warm)
+            .1
+            .then(|| warm.clone());
         let fresh = herad.schedule(&chain, r);
         if got != fresh {
             out.push(Mismatch::new(
@@ -88,7 +81,7 @@ pub fn check_reconfig(inst: &Instance) -> Vec<Mismatch> {
                 ),
             ));
         }
-        let period = t.period_at(r);
+        let period = table.as_ref().and_then(|t| t.period_at(r));
         let optimum = herad.optimal_period(&chain, r);
         if period != optimum {
             out.push(Mismatch::new(

@@ -79,8 +79,8 @@ fn shuffled_grid_sweep_matches_fresh_solves() {
     }
 }
 
-/// The scratch must survive *chain changes* between sweeps: rekeying on a
-/// different chain invalidates the memo, and the new sweep is again
+/// The scratch must survive *chain changes* between sweeps: a different
+/// chain rebuilds the parked table, and the new sweep is again
 /// bit-identical to fresh solves.
 #[test]
 fn scratch_reuse_across_different_chains_stays_exact() {

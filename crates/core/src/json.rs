@@ -1,9 +1,8 @@
 //! A minimal, dependency-free canonical JSON codec.
 //!
-//! The offline build stubs out `serde_json` (see `third_party/`), so
-//! everything that speaks JSON — the conformance regression corpus, the
-//! service status snapshots, and the `amp-net` wire protocol — shares this
-//! codec instead. It implements the subset those formats need — objects,
+//! The offline build has no `serde_json`, so everything that speaks JSON —
+//! the conformance regression corpus, the service status snapshots, the
+//! `amp-net` wire protocol and the experiment reports — shares this codec. It implements the subset those formats need — objects,
 //! arrays, strings, unsigned integers, booleans — with a recursive-descent
 //! parser and two deterministic renderers: an indented form for files read
 //! by humans ([`Json::render`]) and a single-line form for

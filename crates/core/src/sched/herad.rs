@@ -161,7 +161,7 @@ impl Herad {
 
     /// [`Herad::optimal_period`] reusing the caller's scratch
     /// (allocation-free once the DP table has warmed up, and
-    /// extraction-free when the sweep memo already covers the pool).
+    /// extraction-free when the parked table already covers the pool).
     #[must_use]
     pub fn optimal_period_with(
         &self,
@@ -172,45 +172,9 @@ impl Herad {
         if resources.is_exhausted() {
             return None;
         }
-        let p = self
-            .sweep_table(chain, resources, scratch)
-            .period_at(resources);
-        p.is_finite().then_some(p)
-    }
-
-    /// Returns the scratch's sweep table, solved for (at least) this
-    /// chain + pool: a covering table is reused as-is (extraction-only
-    /// solve), a smaller same-chain table grows by the pool delta, and
-    /// anything else is rebuilt from scratch at exactly the requested
-    /// dimensions. The `valid` flag is dropped while the table is being
-    /// mutated so a panicking solve can never leave a half-written table
-    /// behind a matching key.
-    fn sweep_table<'s>(
-        &self,
-        chain: &TaskChain,
-        resources: Resources,
-        scratch: &'s mut SchedScratch,
-    ) -> &'s Table {
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        let sweep = &mut scratch.herad_sweep;
-        if sweep.matches(self.pruning, chain) {
-            if !sweep.table.covers(chain.len(), b, l) {
-                let grown_b = b.max(sweep.table.dim_b());
-                let grown_l = l.max(sweep.table.dim_l());
-                sweep.valid = false;
-                sweep.table.grow(chain, grown_b, grown_l, self.pruning);
-                sweep.valid = true;
-            }
-        } else {
-            let cells = chain.len() * (b + 1) * (l + 1);
-            sweep.valid = false;
-            sweep
-                .table
-                .rebuild(chain, b, l, self.pruning, self.kernel_workers(cells));
-            sweep.rekey(self.pruning, chain);
-        }
-        &sweep.table
+        ChainTable::ready(&mut scratch.herad_table, self, chain, resources, |_| {})
+            .1
+            .period_at(resources)
     }
 }
 
@@ -219,14 +183,10 @@ impl Scheduler for Herad {
         "HeRAD"
     }
 
-    /// Consults the scratch's replay memo first: when the instance is
-    /// bit-identical to the previous solve (same weights, replicability,
-    /// pool and pruning), the stored solution is replayed verbatim —
-    /// the DP is deterministic, so the replay *is* the recomputation.
-    /// Otherwise the sweep memo is consulted: a table already covering
-    /// this chain + pool answers by extraction alone, a same-chain table
-    /// grows by the pool delta, and only a genuinely new chain (or
-    /// pruning) pays for a full rebuild — which then refreshes both memos.
+    /// Serves the solve from the scratch's parked [`ChainTable`]: a table
+    /// already covering this chain + pool answers by extraction alone, a
+    /// same-chain table grows by the pool delta, and only a new chain (or
+    /// pruning) pays for a rebuild, reusing the parked table's buffers.
     fn schedule_into(
         &self,
         chain: &TaskChain,
@@ -238,43 +198,15 @@ impl Scheduler for Herad {
         if resources.is_exhausted() {
             return false;
         }
-        if let Some(memo) = &scratch.herad_memo {
-            if memo.matches(self.pruning, chain, resources) {
-                out.stages_mut().extend_from_slice(&memo.stages);
-                return memo.feasible;
-            }
-        }
-        let feasible = self.sweep_table(chain, resources, scratch).extract_into(
-            chain,
-            resources,
-            out.stages_mut(),
-        );
-        if feasible {
-            out.merge_replicable_stages_in_place(chain);
-        }
-        let memo = scratch
-            .herad_memo
-            .get_or_insert_with(crate::sched::scratch::HeradMemo::empty);
-        memo.pruning = self.pruning;
-        memo.resources = resources;
-        memo.feasible = feasible;
-        memo.tasks.clear();
-        memo.tasks.extend(
-            chain
-                .tasks()
-                .iter()
-                .map(|t| (t.weight_big, t.weight_little, t.replicable)),
-        );
-        memo.stages.clear();
-        memo.stages.extend_from_slice(out.stages());
-        feasible
+        ChainTable::ready(&mut scratch.herad_table, self, chain, resources, |_| {})
+            .1
+            .extract(chain, resources, out)
     }
 }
 
 /// One cell of the solution matrix `S[j][b][l]` (Algorithm 7, lines 1–7).
-/// `pub(crate)` so [`SchedScratch`] can park the table between runs.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Cell {
+struct Cell {
     /// `S_Pbest`: minimal maximum period.
     pbest: Ratio,
     /// `S_prev`: big and little cores available to the previous stages.
@@ -537,7 +469,7 @@ unsafe impl Sync for SharedCells {}
 /// run are never observed — reads stay inside the logical region by
 /// construction.
 #[derive(Debug, Default)]
-pub(crate) struct Table {
+struct Table {
     cells: Vec<Cell>,
     n: usize,
     b: usize,
@@ -545,43 +477,16 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    pub(crate) fn dim_b(&self) -> usize {
-        self.b
-    }
-
-    pub(crate) fn dim_l(&self) -> usize {
-        self.l
-    }
-
-    /// Whether the solved region contains the `(n, b, l)` sub-table.
-    pub(crate) fn covers(&self, n: usize, b: usize, l: usize) -> bool {
-        self.n == n && b <= self.b && l <= self.l
-    }
-
     #[inline]
     fn get(&self, j: usize, rb: usize, rl: usize) -> Cell {
         read_cell(&self.cells, self.b, self.l, j, rb, rl)
-    }
-
-    /// `P*(n, B, L)` for a covered pool.
-    pub(crate) fn period_at(&self, resources: Resources) -> Ratio {
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        self.get(self.n, b, l).pbest
     }
 
     /// Solves the full table at exactly `(chain.len(), b, l)`, sequentially
     /// or with the layer-parallel kernel when `workers > 1` (clamped to the
     /// `b + 1` rows of a layer — fewer rows than workers just idles the
     /// surplus at the barrier, so they are not spawned at all).
-    pub(crate) fn rebuild(
-        &mut self,
-        chain: &TaskChain,
-        b: usize,
-        l: usize,
-        pruning: Pruning,
-        workers: usize,
-    ) {
+    fn rebuild(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning, workers: usize) {
         let n = chain.len();
         let len = n * (b + 1) * (l + 1);
         if self.cells.len() < len {
@@ -701,7 +606,7 @@ impl Table {
     /// the same indices, and the delta traversal (layers ascending, rows
     /// ascending, columns ascending within the new region) only reads
     /// final cells.
-    pub(crate) fn grow(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning) {
+    fn grow(&mut self, chain: &TaskChain, b: usize, l: usize, pruning: Pruning) {
         let (b0, l0) = (self.b, self.l);
         debug_assert!(b >= b0 && l >= l0, "grow never shrinks");
         debug_assert_eq!(self.n, chain.len(), "grow keeps the chain");
@@ -744,7 +649,7 @@ impl Table {
     /// caller's buffer. The pool may be any the table covers — the walk
     /// only visits cells with indices `≤ (B, L)`. Returns `false` (buffer
     /// left empty) when the instance is infeasible.
-    pub(crate) fn extract_into(
+    fn extract_into(
         &self,
         chain: &TaskChain,
         resources: Resources,
@@ -844,22 +749,44 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// A solved HeRAD DP table detached from any scratch, keyed by the chain
-/// alone: the service's solve-once cache tier stores one per distinct
-/// `(weights, replicability)` vector and answers every covered sub-pool by
-/// pure extraction (see the module docs on pool independence). Grows in
-/// place via the pool-delta driver when a larger pool arrives, and
-/// round-trips through canonical JSON ([`ChainTable::to_json`] /
-/// [`ChainTable::from_json`]) for snapshot persistence.
+/// How [`ChainTable::serve`] answered one request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TableServe {
+    /// The pool was already covered: pure extraction, no DP work.
+    Extracted,
+    /// The table grew by the pool delta first, then extracted.
+    Grown,
+    /// No table existed for the chain: a full cold solve.
+    Cold,
+}
+
+/// A solved HeRAD DP table keyed by the chain alone — the one table
+/// cache behind every HeRAD path: a [`SchedScratch`] parks one, the
+/// service's solve-once tier stores one per distinct
+/// `(weights, replicability)` vector, and the runtime keeps one across
+/// migrations. Every covered sub-pool answers by pure extraction (see the
+/// module docs on pool independence), a larger pool grows the table in
+/// place via the pool-delta driver, and the table round-trips through
+/// canonical JSON ([`ChainTable::to_json`] / [`ChainTable::from_json`])
+/// for snapshot persistence.
 ///
-/// Always solved with [`Pruning::Aggressive`] — the same policy
-/// [`Herad::new`] uses — so extraction is bit-identical to the service's
-/// cold HeRAD path.
+/// The public constructors solve with [`Pruning::Aggressive`] — the same
+/// policy [`Herad::new`] uses — so extraction is bit-identical to the
+/// service's cold HeRAD path; a scratch's table carries the pruning of
+/// the [`Herad`] that solved it.
 #[derive(Debug)]
 pub struct ChainTable {
     /// The chain key: `(weight_big, weight_little, replicable)` per task.
     tasks: Vec<(u64, u64, bool)>,
+    pruning: Pruning,
     table: Table,
+}
+
+/// A pool's core counts as table indices.
+fn pool_dims(resources: Resources) -> (usize, usize) {
+    let b = usize::try_from(resources.big).expect("core count fits usize");
+    let l = usize::try_from(resources.little).expect("core count fits usize");
+    (b, l)
 }
 
 impl ChainTable {
@@ -868,26 +795,87 @@ impl ChainTable {
     /// layer-parallel above it).
     #[must_use]
     pub fn solve(chain: &TaskChain, resources: Resources) -> ChainTable {
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        let herad = Herad::new();
-        let cells = chain.len() * (b + 1) * (l + 1);
-        let mut table = Table::default();
-        table.rebuild(
-            chain,
-            b,
-            l,
-            Pruning::Aggressive,
-            herad.kernel_workers(cells),
-        );
-        ChainTable {
-            tasks: chain
-                .tasks()
-                .iter()
-                .map(|t| (t.weight_big, t.weight_little, t.replicable))
-                .collect(),
-            table,
+        let mut slot = None;
+        ChainTable::ready(&mut slot, &Herad::new(), chain, resources, |_| {});
+        slot.expect("ready fills the slot")
+    }
+
+    /// Answers one request from the table parked in `slot`: extraction
+    /// when it covers this chain + pool, in-place growth when it holds
+    /// this chain at a smaller pool, and a cold solve otherwise (reusing
+    /// the parked table's buffers). Returns how it was served plus the
+    /// feasibility flag; on `true`, `out` holds the schedule,
+    /// bit-identical to a fresh [`Herad::new`] solve at the same pool.
+    pub fn serve(
+        slot: &mut Option<ChainTable>,
+        chain: &TaskChain,
+        resources: Resources,
+        out: &mut Solution,
+    ) -> (TableServe, bool) {
+        ChainTable::serve_hooked(slot, chain, resources, out, |_| {})
+    }
+
+    /// [`ChainTable::serve`] calling `before` with the chosen path right
+    /// before its table work runs. Growth and cold solves run with the
+    /// table taken out of `slot`, so a panic in `before` or in the DP
+    /// leaves the slot empty, never holding a half-written table.
+    pub fn serve_hooked(
+        slot: &mut Option<ChainTable>,
+        chain: &TaskChain,
+        resources: Resources,
+        out: &mut Solution,
+        before: impl FnOnce(TableServe),
+    ) -> (TableServe, bool) {
+        let (how, table) = ChainTable::ready(slot, &Herad::new(), chain, resources, before);
+        (how, table.extract(chain, resources, out))
+    }
+
+    /// The extract/grow/rebuild decision behind every HeRAD path: leaves
+    /// `slot` holding a table solved with `herad`'s pruning that covers
+    /// this chain + pool, and says which work that took.
+    pub(crate) fn ready<'s>(
+        slot: &'s mut Option<ChainTable>,
+        herad: &Herad,
+        chain: &TaskChain,
+        resources: Resources,
+        before: impl FnOnce(TableServe),
+    ) -> (TableServe, &'s ChainTable) {
+        let how = match slot.as_ref() {
+            Some(t) if t.pruning == herad.pruning && t.matches(chain) => {
+                if t.covers(resources) {
+                    TableServe::Extracted
+                } else {
+                    TableServe::Grown
+                }
+            }
+            _ => TableServe::Cold,
+        };
+        if how == TableServe::Extracted {
+            before(how);
+            return (how, slot.as_ref().expect("matched above"));
         }
+        let mut table = slot.take().unwrap_or_else(|| ChainTable {
+            tasks: Vec::new(),
+            pruning: herad.pruning,
+            table: Table::default(),
+        });
+        before(how);
+        if how == TableServe::Grown {
+            table.grow_to(chain, resources);
+        } else {
+            let (b, l) = pool_dims(resources);
+            table.tasks.clear();
+            table.tasks.extend(
+                chain
+                    .tasks()
+                    .iter()
+                    .map(|t| (t.weight_big, t.weight_little, t.replicable)),
+            );
+            table.pruning = herad.pruning;
+            let workers = herad.kernel_workers(chain.len() * (b + 1) * (l + 1));
+            table.table.rebuild(chain, b, l, herad.pruning, workers);
+        }
+        (how, slot.insert(table))
     }
 
     /// Whether this table was solved for exactly this chain (weights and
@@ -908,9 +896,8 @@ impl ChainTable {
     /// needs no growth).
     #[must_use]
     pub fn covers(&self, resources: Resources) -> bool {
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        self.table.covers(self.tasks.len(), b, l)
+        let (b, l) = pool_dims(resources);
+        b <= self.table.b && l <= self.table.l
     }
 
     /// Extends the solved region to cover `resources` via the pool-delta
@@ -918,19 +905,20 @@ impl ChainTable {
     /// the same chain the table was solved for.
     pub fn grow_to(&mut self, chain: &TaskChain, resources: Resources) {
         debug_assert!(self.matches(chain), "grow_to keeps the chain");
-        let b = usize::try_from(resources.big).expect("core count fits usize");
-        let l = usize::try_from(resources.little).expect("core count fits usize");
-        let grown_b = b.max(self.table.dim_b());
-        let grown_l = l.max(self.table.dim_l());
-        self.table
-            .grow(chain, grown_b, grown_l, Pruning::Aggressive);
+        let (b, l) = pool_dims(resources);
+        self.table.grow(
+            chain,
+            b.max(self.table.b),
+            l.max(self.table.l),
+            self.pruning,
+        );
     }
 
     /// Extracts the schedule for any covered sub-pool into `out`,
-    /// bit-identical to a fresh [`Herad::new`] solve at that pool
-    /// (extraction walk + replicable-stage merge). Returns `false` with an
-    /// empty solution when the pool is exhausted or the instance is
-    /// infeasible on it.
+    /// bit-identical to a fresh [`Herad`] solve at that pool with this
+    /// table's pruning (extraction walk + replicable-stage merge). Returns
+    /// `false` with an empty solution when the pool is exhausted or the
+    /// instance is infeasible on it.
     pub fn extract(&self, chain: &TaskChain, resources: Resources, out: &mut Solution) -> bool {
         debug_assert!(self.matches(chain), "extract keeps the chain");
         debug_assert!(self.covers(resources), "extract needs a covered pool");
@@ -952,7 +940,8 @@ impl ChainTable {
         if resources.is_exhausted() {
             return None;
         }
-        let p = self.table.period_at(resources);
+        let (b, l) = pool_dims(resources);
+        let p = self.table.get(self.table.n, b, l).pbest;
         p.is_finite().then_some(p)
     }
 
@@ -960,7 +949,7 @@ impl ChainTable {
     /// `big ≤ dim_b` and `little ≤ dim_l` is covered.
     #[must_use]
     pub fn dims(&self) -> (usize, usize) {
-        (self.table.dim_b(), self.table.dim_l())
+        (self.table.b, self.table.l)
     }
 
     /// The chain key this table answers for, as
@@ -974,7 +963,7 @@ impl ChainTable {
     /// accounting.
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        self.tasks.len() * (self.table.dim_b() + 1) * (self.table.dim_l() + 1)
+        self.tasks.len() * (self.table.b + 1) * (self.table.l + 1)
     }
 
     /// One task as its canonical string form `"wb,wl,0|1"`.
@@ -1077,7 +1066,7 @@ impl ChainTable {
     #[must_use]
     pub fn to_json(&self) -> crate::json::Json {
         use crate::json::Json;
-        let (b, l) = (self.table.dim_b(), self.table.dim_l());
+        let (b, l) = self.dims();
         let n = self.tasks.len();
         let tasks: Vec<String> = self
             .tasks
@@ -1096,7 +1085,14 @@ impl ChainTable {
         let mut obj = std::collections::BTreeMap::new();
         obj.insert("kind".to_string(), Json::Str(CHAIN_TABLE_KIND.to_string()));
         obj.insert("version".to_string(), Json::Int(CHAIN_TABLE_VERSION));
-        obj.insert("pruning".to_string(), Json::Str("aggressive".to_string()));
+        // Only aggressive tables load back; the others still say what
+        // they hold.
+        let pruning = match self.pruning {
+            Pruning::None => "none",
+            Pruning::Lossless => "lossless",
+            Pruning::Aggressive => "aggressive",
+        };
+        obj.insert("pruning".to_string(), Json::Str(pruning.to_string()));
         obj.insert("dim_b".to_string(), Json::Int(b as u64));
         obj.insert("dim_l".to_string(), Json::Int(l as u64));
         obj.insert(
@@ -1227,6 +1223,7 @@ impl ChainTable {
             .collect::<Result<_, _>>()?;
         Ok(ChainTable {
             tasks,
+            pruning: Pruning::Aggressive,
             table: Table { cells, n, b, l },
         })
     }
@@ -1424,9 +1421,10 @@ mod tests {
     #[test]
     fn replay_memo_never_hits_on_near_miss_instances() {
         // Each instance differs from the previous one in exactly one
-        // component of the memo key (a weight, the replicable flag, the
-        // pool, the pruning); every warm answer must match a fresh solve,
-        // i.e. the memo must detect the difference and recompute.
+        // component of the parked table's key (a weight, the replicable
+        // flag, the pruning) or in the pool; every warm answer must match
+        // a fresh solve, i.e. the scratch must detect the difference and
+        // rebuild (or grow), leaving a table keyed to the new instance.
         let base = vec![
             Task::new(3, 6, false),
             Task::new(2, 4, true),
@@ -1451,7 +1449,9 @@ mod tests {
                     let warm = herad
                         .schedule_into(chain, r, &mut scratch, &mut out)
                         .then(|| out.clone());
-                    assert_eq!(warm, herad.schedule(chain, r), "memo leaked at {r}");
+                    assert_eq!(warm, herad.schedule(chain, r), "table leaked at {r}");
+                    let parked = scratch.herad_table.as_ref().expect("parked table");
+                    assert!(parked.matches(chain) && parked.pruning == pruning);
                 }
             }
         }
@@ -1460,8 +1460,9 @@ mod tests {
     #[test]
     fn replay_memo_ignores_task_names() {
         // Scheduling depends only on weights and replicability, so the
-        // memo key deliberately drops names: a renamed copy of the same
-        // chain may replay, and the replay must equal its fresh solve.
+        // table key deliberately drops names: a renamed copy of the same
+        // chain extracts from the parked table, and the extraction must
+        // equal its fresh solve.
         let mut named = vec![Task::new(5, 9, true), Task::new(2, 2, false)];
         named[0].name = "acquire".into();
         named[1].name = "decode".into();
@@ -1471,6 +1472,9 @@ mod tests {
         let mut scratch = SchedScratch::new();
         let mut out = Solution::empty();
         assert!(Herad::new().schedule_into(&anon, r, &mut scratch, &mut out));
+        let (how, _) =
+            ChainTable::ready(&mut scratch.herad_table, &Herad::new(), &named, r, |_| {});
+        assert_eq!(how, TableServe::Extracted, "names must not rebuild");
         assert!(Herad::new().schedule_into(&named, r, &mut scratch, &mut out));
         assert_eq!(Some(out.clone()), Herad::new().schedule(&named, r));
     }
@@ -1602,30 +1606,21 @@ mod tests {
     #[test]
     fn sweep_memo_extracts_without_recompute_for_covered_pools() {
         // After solving at (4, 4), every sub-pool solve must reuse the
-        // table: the memo stays keyed to the chain and the table keeps its
-        // (4, 4) dimensions (a rebuild would have shrunk them).
+        // parked table: it stays keyed to the chain and keeps its (4, 4)
+        // dimensions (a rebuild would have shrunk them).
         let c = chain();
         let herad = Herad::new();
         let mut scratch = SchedScratch::new();
         let mut out = Solution::empty();
         assert!(herad.schedule_into(&c, Resources::new(4, 4), &mut scratch, &mut out));
+        let dims = |scratch: &SchedScratch| scratch.herad_table.as_ref().map(ChainTable::dims);
         for (b, l) in [(1, 1), (4, 0), (0, 4), (2, 3), (4, 4)] {
             assert!(herad.schedule_into(&c, Resources::new(b, l), &mut scratch, &mut out));
-            assert_eq!(
-                scratch.herad_sweep.table.dim_b(),
-                4,
-                "table shrank at ({b},{l})"
-            );
-            assert_eq!(
-                scratch.herad_sweep.table.dim_l(),
-                4,
-                "table shrank at ({b},{l})"
-            );
+            assert_eq!(dims(&scratch), Some((4, 4)), "table shrank at ({b},{l})");
         }
         // A pool outside the table grows it monotonically (never shrinks).
         assert!(herad.schedule_into(&c, Resources::new(6, 2), &mut scratch, &mut out));
-        assert_eq!(scratch.herad_sweep.table.dim_b(), 6);
-        assert_eq!(scratch.herad_sweep.table.dim_l(), 4);
+        assert_eq!(dims(&scratch), Some((6, 4)));
     }
 
     #[test]

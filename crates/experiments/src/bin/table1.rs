@@ -4,9 +4,14 @@
 //! usage per type.
 //!
 //! Usage: `table1 [--chains N] [--json PATH]` (default 1000 chains, as in
-//! the paper).
+//! the paper). `--json` also writes the table as one canonical-JSON
+//! document with a row per (R, SR, strategy); the codec carries no
+//! floats, so the statistics travel as fixed-point decimal strings.
 
-use amp_experiments::{run_campaign, CampaignConfig};
+use std::collections::BTreeMap;
+
+use amp_core::json::Json;
+use amp_experiments::{run_campaign, CampaignConfig, SweepOutcome};
 use amp_workload::{table1_resources, PAPER_STATELESS_RATIOS};
 
 fn main() {
@@ -47,10 +52,48 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&all).expect("serializable outcome");
+        let json = table_json(chains, &all).render();
         std::fs::write(path, json).expect("writing the JSON report");
         eprintln!("wrote {path}");
     }
+}
+
+/// The table as `{"table":"I","chains":N,"rows":[...]}`, one row per
+/// (R, SR, strategy) in print order.
+fn table_json(chains: usize, outcomes: &[SweepOutcome]) -> Json {
+    let fixed = |x: f64, digits: usize| Json::Str(format!("{x:.digits$}"));
+    let mut rows = Vec::new();
+    for outcome in outcomes {
+        let config = &outcome.config;
+        for s in &outcome.strategies {
+            let summary = s.summary();
+            let usage = s.core_usage();
+            let row = BTreeMap::from([
+                ("big".to_string(), Json::Int(config.resources.big)),
+                ("little".to_string(), Json::Int(config.resources.little)),
+                (
+                    "stateless_ratio".to_string(),
+                    fixed(config.stateless_ratio, 1),
+                ),
+                ("strategy".to_string(), Json::Str(s.name.clone())),
+                (
+                    "optimal_pct".to_string(),
+                    fixed(summary.optimal_fraction * 100.0, 1),
+                ),
+                ("avg".to_string(), fixed(summary.avg, 4)),
+                ("med".to_string(), fixed(summary.med, 4)),
+                ("max".to_string(), fixed(summary.max, 4)),
+                ("big_used".to_string(), fixed(usage.big, 2)),
+                ("little_used".to_string(), fixed(usage.little, 2)),
+            ]);
+            rows.push(Json::Obj(row));
+        }
+    }
+    Json::Obj(BTreeMap::from([
+        ("table".to_string(), Json::Str("I".to_string())),
+        ("chains".to_string(), Json::Int(chains as u64)),
+        ("rows".to_string(), Json::Arr(rows)),
+    ]))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

@@ -10,7 +10,7 @@
 //! bounded by design — `max_connections` × (reader + pump) threads is a
 //! few hundred OS threads at the configured limits, well inside what
 //! the OS schedules efficiently, and every instrument in the repo
-//! (panic isolation, drain-then-join shutdown, scoped batch fan-out)
+//! (panic isolation, drain-then-join shutdown, scoped threads)
 //! composes with plain threads without an executor in the middle. An
 //! async runtime would buy connection counts this service cannot use
 //! (the engine saturates long before 10k sockets) at the price of a

@@ -338,17 +338,8 @@ impl MigrateState {
     /// extraction, a larger pool grows the table in place, and only a
     /// chain change pays a fresh cold solve.
     fn solve(&mut self, resources: amp_core::Resources) -> Result<Solution, RuntimeError> {
-        let table = match &mut self.table {
-            Some(t) if t.matches(&self.chain) => {
-                if !t.covers(resources) {
-                    t.grow_to(&self.chain, resources);
-                }
-                t
-            }
-            slot => slot.insert(ChainTable::solve(&self.chain, resources)),
-        };
         let mut out = Solution::empty();
-        if table.extract(&self.chain, resources, &mut out) {
+        if ChainTable::serve(&mut self.table, &self.chain, resources, &mut out).1 {
             Ok(out)
         } else {
             Err(RuntimeError::Infeasible)
@@ -460,9 +451,6 @@ impl<D: Send + 'static> RunningPipeline<D> {
                 if t.replicable != rep {
                     return Err(RuntimeError::ReplicabilityMismatch(i));
                 }
-            }
-            if !mig.table.as_ref().is_some_and(|t| t.matches(new_chain)) {
-                mig.table = None;
             }
             mig.chain = new_chain.clone();
         }

@@ -19,13 +19,14 @@
 //! ## Panic safety (the valid-flag pattern)
 //!
 //! Every mutation window (growth, cold solve) drops the entry's `valid`
-//! flag first and restores it only after the table is consistent again —
-//! the same protocol `SchedScratch`'s sweep memo uses. A panic
-//! mid-mutation (injected through [`TierFaultHook`] in tests) leaves the
-//! entry poisoned, and the next request for that chain repairs it with a
-//! fresh cold solve. Extraction never mutates the table, so a panic
-//! mid-extraction needs no repair at all. The `parking_lot` mutexes do
-//! not poison, so a panicking worker releases its locks cleanly.
+//! flag first and restores it only after the table is consistent again;
+//! [`ChainTable::serve_hooked`] additionally holds the table outside its
+//! slot while it changes. A panic mid-mutation (injected through
+//! [`TierFaultHook`] in tests) leaves the entry poisoned, and the next
+//! request for that chain repairs it with a fresh cold solve. Extraction
+//! never mutates the table, so a panic mid-extraction needs no repair at
+//! all. The `parking_lot` mutexes do not poison, so a panicking worker
+//! releases its locks cleanly.
 //!
 //! ## Snapshot persistence
 //!
@@ -123,16 +124,9 @@ impl From<ChainTableError> for SnapshotError {
     }
 }
 
-/// How the tier answered one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TierServe {
-    /// The pool was already covered: pure extraction, no DP work.
-    Extracted,
-    /// The table grew by the pool delta first, then extracted.
-    Grown,
-    /// No (valid) table existed for the chain: a full cold solve.
-    Cold,
-}
+/// How the tier answered one request (the core's
+/// [`TableServe`](amp_core::sched::TableServe)).
+pub use amp_core::sched::TableServe as TierServe;
 
 /// One chain's slot: the LRU stamp lives outside the entry mutex so
 /// eviction scans never contend with an in-flight solve.
@@ -266,11 +260,12 @@ impl ChainTier {
         slot
     }
 
-    /// Serves one HeRAD request from the tier: extraction when the chain's
-    /// table covers the pool, in-place growth when it exists but is too
-    /// small, a cold solve otherwise. Returns how it was served plus the
-    /// feasibility flag; on `true`, `out` holds the schedule, bit-identical
-    /// to a fresh `Herad::new()` solve at the same pool.
+    /// Serves one HeRAD request from the tier through
+    /// [`ChainTable::serve_hooked`]: extraction when the chain's table
+    /// covers the pool, in-place growth when it exists but is too small,
+    /// a cold solve otherwise. Returns how it was served plus the
+    /// feasibility flag; on `true`, `out` holds the schedule,
+    /// bit-identical to a fresh `Herad::new()` solve at the same pool.
     ///
     /// Must only be called on an enabled tier with a non-empty chain.
     pub fn serve(
@@ -283,47 +278,34 @@ impl ChainTier {
         debug_assert!(self.enabled(), "serve on a disabled tier");
         let slot = self.slot(key);
         let mut entry = slot.entry.lock();
-        if entry.valid {
-            if let Some(table) = entry.table.as_ref() {
-                if table.covers(resources) {
-                    self.roll("extract");
-                    let feasible = table.extract(chain, resources, out);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (TierServe::Extracted, feasible);
-                }
-                // Pool-delta growth: the mutation window is guarded by
-                // the valid flag, so an interrupted grow poisons the
-                // entry instead of leaving a half-relaid table behind.
-                entry.valid = false;
-                self.roll("grow");
-                let table = entry.table.as_mut().expect("checked above");
-                table.grow_to(chain, resources);
-                entry.valid = true;
-                let feasible = entry
-                    .table
-                    .as_ref()
-                    .expect("just grown")
-                    .extract(chain, resources, out);
-                self.grows.fetch_add(1, Ordering::Relaxed);
-                return (TierServe::Grown, feasible);
-            }
+        let TierEntry { valid, table } = &mut *entry;
+        // A poisoned entry repairs with a cold solve: drop what is left.
+        let repair = !*valid;
+        if repair {
+            *table = None;
         }
-        // Cold solve — either a fresh chain or the repair of a poisoned
-        // entry. Drop any stale table before the fallible work so an
-        // interruption here leaves "poisoned and empty", never garbage.
-        let repair = !entry.valid;
-        entry.valid = false;
-        entry.table = None;
-        self.roll("cold");
-        let table = ChainTable::solve(chain, resources);
-        let feasible = table.extract(chain, resources, out);
-        entry.table = Some(table);
-        entry.valid = true;
-        self.cold_solves.fetch_add(1, Ordering::Relaxed);
+        let served = ChainTable::serve_hooked(table, chain, resources, out, |how| {
+            // Growth and cold solves poison the entry until they finish.
+            if how != TierServe::Extracted {
+                *valid = false;
+            }
+            self.roll(match how {
+                TierServe::Extracted => "extract",
+                TierServe::Grown => "grow",
+                TierServe::Cold => "cold",
+            });
+        });
+        *valid = true;
+        let counter = match served.0 {
+            TierServe::Extracted => &self.hits,
+            TierServe::Grown => &self.grows,
+            TierServe::Cold => &self.cold_solves,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         if repair {
             self.repairs.fetch_add(1, Ordering::Relaxed);
         }
-        (TierServe::Cold, feasible)
+        served
     }
 
     /// Current counters.

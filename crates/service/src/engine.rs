@@ -11,15 +11,16 @@
 //! [`portfolio`](crate::portfolio) — and send exactly one
 //! [`ScheduleResponse`] per request on the caller's reply channel.
 //!
-//! Pipelined front ends (the `amp-net` socket server) hand over whole
-//! bursts at once: [`Engine::try_submit_batch`] enqueues many requests
-//! as *one* queue slot, and the worker that dequeues the batch fans the
-//! cache-missing single-strategy members into
-//! [`schedule_many_with`](amp_core::sched::batch::schedule_many_with)
-//! so one hand-off amortizes the queue round-trip and the solves share
-//! warm per-worker scratches. Batch members still get exactly one
-//! response each, in no guaranteed order — responses carry the request
-//! id precisely so ordering never matters.
+//! Every queue slot carries a batch, and a single submission is a batch
+//! of one. Pipelined front ends (the `amp-net` socket server) hand over
+//! whole bursts at once through [`Engine::try_submit_batch`], so one
+//! hand-off amortizes the queue round-trip. The worker that dequeues a
+//! batch makes two passes: it first answers typed validation errors and
+//! exact-LRU hits (one lookup per request), then solves the misses one
+//! at a time on its warm scratch. HeRAD misses go through the
+//! [`ChainTier`]. Batch members get exactly one response each, in no
+//! guaranteed order — responses carry the request id precisely so
+//! ordering never matters.
 //!
 //! ## Robustness contract
 //!
@@ -59,14 +60,12 @@
 //! flight. There is no window in which a request is accepted (`Ok`
 //! returned to the caller) but never answered.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use amp_core::sched::batch::schedule_many_with;
 use amp_core::sched::{
     energy_strategy_by_name, strategy_by_name, EnergyDp, EnergyFertac, EnergyScheduler,
     EnergyTwocatac, SchedScratch,
@@ -157,29 +156,12 @@ impl std::fmt::Debug for EngineConfig {
     }
 }
 
-/// One queued unit of work: a single request, or a pipelined burst that
-/// travels as one queue slot.
-enum Job {
-    Single {
-        request: ScheduleRequest,
-        reply: Sender<ScheduleResponse>,
-        accepted_at: Instant,
-    },
-    Batch {
-        requests: Vec<ScheduleRequest>,
-        reply: Sender<ScheduleResponse>,
-        accepted_at: Instant,
-    },
-}
-
-impl Job {
-    /// Recovers the members of a batch job bounced back by the channel.
-    fn into_batch_requests(self) -> Vec<ScheduleRequest> {
-        match self {
-            Job::Batch { requests, .. } => requests,
-            Job::Single { request, .. } => vec![request],
-        }
-    }
+/// One queued unit of work: a batch of requests that travels as one
+/// queue slot (a single submission is a batch of one).
+struct Job {
+    requests: Vec<ScheduleRequest>,
+    reply: Sender<ScheduleResponse>,
+    accepted_at: Instant,
 }
 
 /// A batch bounced at the door: no member was enqueued, no response
@@ -298,25 +280,9 @@ impl Engine {
         request: ScheduleRequest,
         reply: Sender<ScheduleResponse>,
     ) -> Result<(), ServiceError> {
-        let Some(tx) = self.sender() else {
-            return Err(ServiceError::ShuttingDown);
-        };
-        let job = Job::Single {
-            request,
-            reply,
-            accepted_at: Instant::now(),
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.metrics.record_accepted();
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.metrics.record_rejected();
-                Err(ServiceError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServiceError::ShuttingDown),
-        }
+        self.try_submit_batch(vec![request], reply)
+            .map(drop)
+            .map_err(|rejected| rejected.error)
     }
 
     /// Non-blocking submission of a pipelined burst as one queue slot.
@@ -325,9 +291,9 @@ impl Engine {
     /// response on `reply` (in no guaranteed order — match by id); on
     /// rejection *none* was enqueued and every member travels back in
     /// the [`RejectedBatch`], so the caller can answer each one with the
-    /// typed error. Cache-missing members that share a strategy are
-    /// solved together via the batched scheduler kernel. An empty batch
-    /// is a no-op.
+    /// typed error. The worker answers typed errors and cache hits first,
+    /// then solves the misses one at a time on its warm scratch. An empty
+    /// batch is a no-op.
     pub fn try_submit_batch(
         &self,
         requests: Vec<ScheduleRequest>,
@@ -343,7 +309,7 @@ impl Engine {
                 error: ServiceError::ShuttingDown,
             });
         };
-        let job = Job::Batch {
+        let job = Job {
             requests,
             reply,
             accepted_at: Instant::now(),
@@ -356,12 +322,12 @@ impl Engine {
             Err(TrySendError::Full(job)) => {
                 self.metrics.record_rejected_n(n as u64);
                 Err(RejectedBatch {
-                    requests: job.into_batch_requests(),
+                    requests: job.requests,
                     error: ServiceError::Overloaded,
                 })
             }
             Err(TrySendError::Disconnected(job)) => Err(RejectedBatch {
-                requests: job.into_batch_requests(),
+                requests: job.requests,
                 error: ServiceError::ShuttingDown,
             }),
         }
@@ -383,8 +349,8 @@ impl Engine {
         let Some(tx) = self.sender() else {
             return Err(ServiceError::ShuttingDown);
         };
-        let job = Job::Single {
-            request,
+        let job = Job {
+            requests: vec![request],
             reply,
             accepted_at: Instant::now(),
         };
@@ -590,13 +556,6 @@ fn supervised_worker(
     metrics.record_worker_stopped();
 }
 
-/// Intra-batch parallelism cap: how many scoped solver threads one
-/// engine worker may fan a batch across. Small on purpose — the engine
-/// already runs one worker per core; batching mostly amortizes queue
-/// hand-offs, and a modest fan-out picks up the slack on bursty loads
-/// without oversubscribing the machine.
-const BATCH_FANOUT: usize = 4;
-
 fn worker_loop(
     rx: &Receiver<Job>,
     metrics: &ServiceMetrics,
@@ -608,46 +567,40 @@ fn worker_loop(
     // One scratch arena per worker, reused across every request the
     // worker ever handles: steady-state scheduling allocates nothing.
     let mut scratch = SchedScratch::new();
-    // Extra scratches for batched jobs, grown on demand up to
-    // `BATCH_FANOUT` and likewise reused across batches.
-    let mut batch_scratches: Vec<SchedScratch> = Vec::new();
     // `recv` keeps returning queued jobs after the engine closes the
     // queue and only errors once it is both closed *and* empty — that is
     // exactly the drain-then-exit shutdown contract.
     while let Ok(job) = rx.recv() {
-        match job {
-            Job::Single {
-                request,
-                reply,
-                accepted_at,
-            } => {
-                let result = compute_guarded(
-                    &request,
-                    metrics,
-                    cache,
-                    tier,
-                    portfolio_cfg,
-                    racers,
-                    &mut scratch,
-                );
-                respond(&reply, request.id, result, accepted_at, metrics);
+        let answer = |id, result| respond(&job.reply, id, result, job.accepted_at, metrics);
+        // Pass 1: typed validation errors and exact-LRU hits answer
+        // immediately; each request is looked up exactly once.
+        let mut misses = Vec::new();
+        for request in job.requests {
+            if request.tasks.is_empty() {
+                answer(request.id, Err(ServiceError::EmptyChain));
+            } else if request.big_cores == 0 && request.little_cores == 0 {
+                answer(request.id, Err(ServiceError::NoCores));
+            } else {
+                let key = CacheKey::for_request(&request);
+                match cache.get(&key) {
+                    Some(hit) => answer(request.id, Ok(hit)),
+                    None => misses.push((request, key)),
+                }
             }
-            Job::Batch {
-                requests,
-                reply,
-                accepted_at,
-            } => run_batch(
-                requests,
-                &reply,
-                accepted_at,
+        }
+        // Pass 2: the misses, one at a time on the worker's warm scratch.
+        for (request, key) in misses {
+            let result = compute_guarded(
+                &request,
+                key,
                 metrics,
                 cache,
                 tier,
                 portfolio_cfg,
                 racers,
                 &mut scratch,
-                &mut batch_scratches,
-            ),
+            );
+            answer(request.id, result);
         }
     }
 }
@@ -658,6 +611,7 @@ fn worker_loop(
 #[allow(clippy::too_many_arguments)]
 fn compute_guarded(
     request: &ScheduleRequest,
+    key: CacheKey,
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
@@ -666,8 +620,9 @@ fn compute_guarded(
     scratch: &mut SchedScratch,
 ) -> Result<ScheduleOutcome, ServiceError> {
     catch_unwind(AssertUnwindSafe(|| {
-        handle(
+        compute(
             request,
+            key,
             metrics,
             cache,
             tier,
@@ -703,202 +658,12 @@ fn respond(
     let _ = reply.send(ScheduleResponse { id, result });
 }
 
-/// Serves a pipelined batch: validation errors and cache hits answer
-/// immediately, portfolio members run through the regular single-request
-/// path, and cache-missing members that share a (known) strategy are
-/// solved together through the batched scheduler kernel on the worker's
-/// persistent scratch pool. Exactly one response per member, always.
+/// Solves one validated exact-LRU miss (`key` is its cache key) and
+/// caches the outcome when it is complete.
 #[allow(clippy::too_many_arguments)]
-fn run_batch(
-    requests: Vec<ScheduleRequest>,
-    reply: &Sender<ScheduleResponse>,
-    accepted_at: Instant,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
-    scratch: &mut SchedScratch,
-    batch_scratches: &mut Vec<SchedScratch>,
-) {
-    let mut groups: BTreeMap<&'static str, Vec<ScheduleRequest>> = BTreeMap::new();
-    let mut solos: Vec<ScheduleRequest> = Vec::new();
-    for request in requests {
-        // Fast paths mirror `handle` exactly: typed validation errors
-        // and cache hits never wait for the solver fan-out.
-        if request.tasks.is_empty() {
-            respond(
-                reply,
-                request.id,
-                Err(ServiceError::EmptyChain),
-                accepted_at,
-                metrics,
-            );
-            continue;
-        }
-        if request.big_cores == 0 && request.little_cores == 0 {
-            respond(
-                reply,
-                request.id,
-                Err(ServiceError::NoCores),
-                accepted_at,
-                metrics,
-            );
-            continue;
-        }
-        if let Some(hit) = cache.get(&CacheKey::for_request(&request)) {
-            respond(reply, request.id, Ok(hit), accepted_at, metrics);
-            continue;
-        }
-        // Energy-objective members take the sequential single-request
-        // path: their strategy names live in a separate registry and the
-        // batched kernel only speaks the period trait.
-        if !request.objective.is_period() {
-            solos.push(request);
-            continue;
-        }
-        match &request.policy {
-            Policy::Strategy(name) => match strategy_by_name(name) {
-                // Tier-eligible members run through the sequential
-                // single-request path instead of the scoped fan-out: the
-                // chain tier serializes same-chain solves anyway (one
-                // cold solve, then pure extraction), so fanning them out
-                // would only have threads queue on the entry lock.
-                Some(strategy) if tier.enabled() && strategy.name() == "HeRAD" => {
-                    solos.push(request);
-                }
-                Some(strategy) => groups.entry(strategy.name()).or_default().push(request),
-                None => {
-                    let err = ServiceError::UnknownStrategy { name: name.clone() };
-                    respond(reply, request.id, Err(err), accepted_at, metrics);
-                }
-            },
-            Policy::Portfolio => solos.push(request),
-        }
-    }
-    for request in solos {
-        let result = compute_guarded(
-            &request,
-            metrics,
-            cache,
-            tier,
-            portfolio_cfg,
-            racers,
-            scratch,
-        );
-        respond(reply, request.id, result, accepted_at, metrics);
-    }
-    for (name, members) in groups {
-        if members.len() == 1 {
-            // A lone member gains nothing from the fan-out; keep it on
-            // the worker's warm single-request scratch.
-            let request = &members[0];
-            let result = compute_guarded(
-                request,
-                metrics,
-                cache,
-                tier,
-                portfolio_cfg,
-                racers,
-                scratch,
-            );
-            respond(reply, request.id, result, accepted_at, metrics);
-            continue;
-        }
-        run_group(
-            name,
-            members,
-            reply,
-            accepted_at,
-            metrics,
-            cache,
-            racers,
-            batch_scratches,
-        );
-    }
-}
-
-/// Solves one same-strategy group through `schedule_many_with`, then
-/// vets, caches and answers each member. The whole group runs under one
-/// panic guard: an unwind anywhere in the fan-out turns into a typed
-/// `Internal` response for every member and a recycled scratch pool.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    name: &'static str,
-    members: Vec<ScheduleRequest>,
-    reply: &Sender<ScheduleResponse>,
-    accepted_at: Instant,
-    metrics: &ServiceMetrics,
-    cache: &SolutionCache,
-    racers: &RacerPool,
-    batch_scratches: &mut Vec<SchedScratch>,
-) {
-    let strategy = racers.wrapped(strategy_by_name(name).expect("group key is a known strategy"));
-    let chains: Vec<TaskChain> = members.iter().map(ScheduleRequest::chain).collect();
-    let jobs: Vec<(&TaskChain, Resources)> = chains
-        .iter()
-        .zip(&members)
-        .map(|(chain, request)| (chain, request.resources()))
-        .collect();
-    let fanout = members.len().min(BATCH_FANOUT);
-    while batch_scratches.len() < fanout {
-        batch_scratches.push(SchedScratch::new());
-    }
-    let solved = catch_unwind(AssertUnwindSafe(|| {
-        schedule_many_with(&*strategy, &jobs, &mut batch_scratches[..fanout])
-    }));
-    match solved {
-        Ok(results) => {
-            for ((request, chain), maybe) in members.iter().zip(&chains).zip(results) {
-                let result = match maybe {
-                    None => Err(ServiceError::Infeasible),
-                    Some(solution) => {
-                        // Same vet-before-cache defense as `handle`.
-                        if solution_is_sound(&solution, chain, request.resources()) {
-                            let outcome = ScheduleOutcome::from_solution(
-                                strategy.name(),
-                                &solution,
-                                chain,
-                                true,
-                            );
-                            cache.insert(CacheKey::for_request(request), outcome.clone());
-                            Ok(outcome)
-                        } else {
-                            metrics.record_invalid_solution();
-                            Err(ServiceError::Internal(format!(
-                                "strategy {name} produced an invalid solution; \
-                                 refusing to serve or cache it"
-                            )))
-                        }
-                    }
-                };
-                respond(reply, request.id, result, accepted_at, metrics);
-            }
-        }
-        Err(panic) => {
-            metrics.record_worker_panic();
-            // Any scratch in the pool may be mid-write; recycle them all.
-            batch_scratches.clear();
-            let msg = format!(
-                "worker panicked while batch scheduling: {}",
-                panic_message(panic.as_ref())
-            );
-            for request in &members {
-                respond(
-                    reply,
-                    request.id,
-                    Err(ServiceError::Internal(msg.clone())),
-                    accepted_at,
-                    metrics,
-                );
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle(
+fn compute(
     request: &ScheduleRequest,
+    key: CacheKey,
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
@@ -906,16 +671,6 @@ fn handle(
     racers: &RacerPool,
     scratch: &mut SchedScratch,
 ) -> Result<ScheduleOutcome, ServiceError> {
-    if request.tasks.is_empty() {
-        return Err(ServiceError::EmptyChain);
-    }
-    if request.big_cores == 0 && request.little_cores == 0 {
-        return Err(ServiceError::NoCores);
-    }
-    let key = CacheKey::for_request(request);
-    if let Some(hit) = cache.get(&key) {
-        return Ok(hit);
-    }
     let chain = request.chain();
     let resources = request.resources();
     // Defense in depth before anything is served or cached: re-validate
@@ -1976,6 +1731,44 @@ mod tests {
         assert!(outcomes[2].1.energy_milliwatts.is_some());
         assert_eq!(outcomes[0].1.energy_milliwatts, None);
         assert_eq!(outcomes[3].1.energy_milliwatts, None);
+        e.shutdown();
+    }
+
+    /// Every batch member is looked up in the exact LRU once: a batch of
+    /// N distinct misses (HeRAD through the tier, portfolio, energy, a
+    /// lone strategy) records exactly N misses, and its repeat N hits.
+    #[test]
+    fn batched_misses_are_counted_once_each() {
+        let e = engine(1);
+        let c = chain();
+        let res = Resources::new(2, 2);
+        let mut requests: Vec<ScheduleRequest> = [(1, 1), (2, 1), (3, 3)]
+            .iter()
+            .map(|&(b, l)| {
+                let herad = Policy::Strategy("HeRAD".to_string());
+                ScheduleRequest::from_chain(b * 10 + l, &c, Resources::new(b, l), herad)
+            })
+            .collect();
+        requests.extend([
+            ScheduleRequest::from_chain(1, &c, res, Policy::Portfolio),
+            ScheduleRequest::from_chain(2, &c, res, Policy::Strategy("FERTAC".to_string())),
+            ScheduleRequest::from_chain(3, &c, res, Policy::Strategy("EnergyDP".to_string()))
+                .with_objective(energy_objective()),
+            ScheduleRequest::from_chain(4, &c, res, Policy::Portfolio)
+                .with_objective(energy_objective()),
+        ]);
+        let n = requests.len();
+        for round in 1..=2u64 {
+            let (tx, rx) = channel::unbounded();
+            assert_eq!(e.try_submit_batch(requests.clone(), tx).unwrap(), n);
+            for _ in 0..n {
+                let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+                assert!(resp.result.is_ok(), "member {} failed", resp.id);
+            }
+            let stats = e.cache_stats();
+            assert_eq!(stats.misses, n as u64, "round {round}: one miss per member");
+            assert_eq!(stats.hits, (round - 1) * n as u64, "round {round}");
+        }
         e.shutdown();
     }
 }

@@ -256,7 +256,7 @@ fn racer_loop(rx: &Receiver<RacerJob>, shared: &RacerShared) {
     // One scratch arena per racer thread, shared across every strategy it
     // ever runs (the scratch is staleness-proof across shapes and
     // strategies; the conformance `check_scratch` layer pins that). For
-    // the portfolio's HeRAD racer this also carries the sweep memo, so
+    // the portfolio's HeRAD racer this also carries the parked table, so
     // repeated requests for the same chain at different pools reuse the
     // parked DP table (pool-delta warm starts) without any service-side
     // wiring.

@@ -6,7 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
-cargo test -q
+# Every test run is hang-guarded: past its limit the guard prints each test
+# thread's name and kernel wait channel, kills the test processes and fails.
+scripts/hang_guard.sh 2400 cargo test -q
 
 # Conformance gate: replay the regression corpus, then fuzz a bounded
 # batch of seeded instances (small n so the exhaustive oracle stays fast)
@@ -21,7 +23,7 @@ cargo run --release -p amp-conformance -- --seeds 500 --max-tasks 8 --max-big 4 
 # release mode (10k-request chaos run, pool-recovery and no-new-threads
 # assertions).
 cargo run --release -p amp-conformance -- --seeds 250 --seed-start 1000 --no-corpus --max-tasks 8 --max-big 4 --max-little 4
-cargo test --release -q -p amp-service --test panic_safety --test thread_stability
+scripts/hang_guard.sh 900 cargo test --release -q -p amp-service --test panic_safety --test thread_stability
 
 # Chain-tier gate: the solve-once cache (grow-in-place HeRAD tables,
 # keyed on the chain alone) differentially checked against fresh solves
@@ -29,7 +31,7 @@ cargo test --release -q -p amp-service --test panic_safety --test thread_stabili
 # agreement, and a render/parse round trip per table. Skipping the
 # service/chaos layers keeps 1000 seeds cheap.
 cargo run --release -p amp-conformance -- --chain-tier-only --seeds 1000 --max-tasks 8 --max-big 4 --max-little 4
-cargo test --release -q -p amp-service --test snapshot_roundtrip
+scripts/hang_guard.sh 900 cargo test --release -q -p amp-service --test snapshot_roundtrip
 
 # Energy gate: the brute-force energy oracle (every interval, core type
 # and replication count scored in exact milliwatts) differentially pins
@@ -48,9 +50,11 @@ cargo run --release -p amp-experiments --bin energy_sweep -- --smoke --out BENCH
 
 # Perf gate: a small deterministic sweep through the perf runner. The
 # binary exits non-zero (failing this script) if any of its built-in
-# regression gates trip: warm-scratch HeRAD performing steady-state heap
-# allocations, HeRAD's pool-delta sweep_speedup dropping below 1.5, or
-# HeRAD's batched median exceeding the cold median.
+# regression gates trip: warm-scratch HeRAD (extraction from the scratch's
+# parked table, and rebuilds reusing its buffers when the chain changes)
+# performing steady-state heap allocations, HeRAD's pool-delta
+# sweep_speedup dropping below 1.5, HeRAD's batched median exceeding the
+# cold median, or the chain tier paying more than one cold solve per chain.
 cargo run --release -p amp-bench --bin perf -- --smoke --out BENCH_sched.json
 
 # Wire hot-path gates, release mode: the zero-steady-state-allocation
@@ -60,7 +64,7 @@ cargo run --release -p amp-bench --bin perf -- --smoke --out BENCH_sched.json
 # valid/malformed mix over one socket: no torn frames, engine order
 # preserved), and the JoinHandle-reap gate (1000 connection churns must
 # not accumulate reader handles).
-cargo test --release -q -p amp-net --test wire_alloc --test wire_order --test handle_reap
+scripts/hang_guard.sh 900 cargo test --release -q -p amp-net --test wire_alloc --test wire_order --test handle_reap
 
 # Network smoke gate: the seeded load generator boots a 4-shard server on
 # loopback and audits the wire end to end. Steady phase: every pipelined
