@@ -198,8 +198,127 @@ struct Control<D> {
     stop: AtomicBool,
     /// Next frame for the source stage to claim.
     claim: AtomicU64,
-    /// Sink departures `(frame, nanos since start)` across all epochs.
-    sink: Mutex<Vec<(u64, u64)>>,
+    /// Sink accounting across all epochs.
+    sink: Sink,
+}
+
+/// Most departure times [`DepartureSketch`] keeps.
+const SKETCH_CAP: usize = 4096;
+
+/// Departure accounting in constant memory: the count, the last departure
+/// time and every `stride`-th departure time, in departure order.
+///
+/// The sketch grows up to [`SKETCH_CAP`] entries; when full it keeps every
+/// other entry and doubles `stride`. Recording a departure never allocates
+/// once the sketch has reached its cap.
+#[derive(Debug)]
+struct DepartureSketch {
+    frames: u64,
+    /// Nanoseconds since start of the latest departure.
+    last: u64,
+    /// Power of two: `kept[j]` is the time of departure `j × stride`.
+    stride: u64,
+    kept: Vec<u64>,
+}
+
+impl DepartureSketch {
+    fn new() -> Self {
+        DepartureSketch {
+            frames: 0,
+            last: 0,
+            stride: 1,
+            kept: Vec::new(),
+        }
+    }
+
+    /// Records the next departure at `nanos` (non-decreasing across calls).
+    fn record(&mut self, nanos: u64) {
+        if self.frames & (self.stride - 1) == 0 {
+            if self.kept.len() == SKETCH_CAP {
+                let mut j = 0;
+                self.kept.retain(|_| {
+                    j += 1;
+                    j % 2 == 1
+                });
+                self.stride *= 2;
+            }
+            // Departure `SKETCH_CAP × stride` is a multiple of the doubled
+            // stride, so the departure that triggered a halving is kept.
+            self.kept.push(nanos);
+        }
+        self.frames += 1;
+        self.last = nanos;
+    }
+
+    /// The steady-state window `(start, span_nanos)`: from departure
+    /// `start` to the last one. `start` is `floor(frames × warmup_fraction)`
+    /// (at most `frames − 2`) rounded down to a kept departure, so it moves
+    /// by less than one `stride`. `None` below two departures.
+    fn window(&self, warmup_fraction: f64) -> Option<(u64, u64)> {
+        if self.frames < 2 {
+            return None;
+        }
+        let warm = ((self.frames as f64) * warmup_fraction).floor() as u64;
+        let j = warm.min(self.frames - 2) / self.stride;
+        Some((j * self.stride, self.last - self.kept[j as usize]))
+    }
+}
+
+/// The sink's shared record: the departure sketch plus the epoch-boundary
+/// stamps that give each migration its sink gap.
+struct SinkLog {
+    sketch: DepartureSketch,
+    /// Last departure before the latest epoch boundary.
+    boundary_last: Option<u64>,
+    /// First departure after the latest epoch boundary (or of the run).
+    boundary_next: Option<u64>,
+}
+
+impl SinkLog {
+    /// Fills the latest migration's sink gap, once a frame has departed
+    /// on both sides of its boundary.
+    fn close_gap(&self, events: &mut [ReconfigEvent]) {
+        if let (Some(event), Some(last), Some(next)) =
+            (events.last_mut(), self.boundary_last, self.boundary_next)
+        {
+            event.sink_gap_us = next.saturating_sub(last) as f64 / 1e3;
+        }
+    }
+
+    /// Starts a new epoch boundary after a full drain.
+    fn mark_boundary(&mut self) {
+        self.boundary_last = (self.sketch.frames > 0).then_some(self.sketch.last);
+        self.boundary_next = None;
+    }
+}
+
+struct Sink {
+    /// Copy of `log.sketch.frames`, readable without the lock.
+    departed: AtomicU64,
+    log: Mutex<SinkLog>,
+}
+
+impl Sink {
+    fn new() -> Self {
+        Sink {
+            departed: AtomicU64::new(0),
+            log: Mutex::new(SinkLog {
+                sketch: DepartureSketch::new(),
+                boundary_last: None,
+                boundary_next: None,
+            }),
+        }
+    }
+
+    /// Records one departure. The time is read under the lock, so
+    /// departure order is time order even with a replicated last stage.
+    fn depart(&self, start: Instant) {
+        let mut log = self.log.lock();
+        let now = start.elapsed().as_nanos() as u64;
+        log.boundary_next.get_or_insert(now);
+        log.sketch.record(now);
+        self.departed.store(log.sketch.frames, Ordering::Release);
+    }
 }
 
 /// Executes one worker's role for one epoch, then returns so the worker
@@ -230,10 +349,7 @@ fn run_role<D: Send + 'static>(
     };
     let deliver = |seq: u64, data: D| match &ring_out {
         Some(out) => out.push(seq, data),
-        None => control
-            .sink
-            .lock()
-            .push((seq, start.elapsed().as_nanos() as u64)),
+        None => control.sink.depart(start),
     };
     match &ring_in {
         None => loop {
@@ -420,18 +536,24 @@ impl<D: Send + 'static> RunningPipeline<D> {
     /// returns once the drain completes.
     pub fn stop(&self) {
         self.control.stop.store(true, Ordering::Relaxed);
+        if let Some(watchdog) = &*self.watchdog.lock() {
+            watchdog.thread().unpark();
+        }
     }
 
-    /// Completed reconfigurations so far.
+    /// Completed reconfigurations so far. The latest one's `sink_gap_us`
+    /// stays 0 until a frame departs through the new decomposition.
     #[must_use]
     pub fn reconfig_events(&self) -> Vec<ReconfigEvent> {
-        self.events.lock().clone()
+        let mut events = self.events.lock().clone();
+        self.control.sink.log.lock().close_gap(&mut events);
+        events
     }
 
     /// Frames that have reached the sink so far.
     #[must_use]
     pub fn frames_done(&self) -> u64 {
-        self.control.sink.lock().len() as u64
+        self.control.sink.departed.load(Ordering::Acquire)
     }
 
     fn apply(
@@ -504,6 +626,13 @@ impl<D: Send + 'static> RunningPipeline<D> {
             self.control.done_cv.notify_all();
             return Err(RuntimeError::Terminated);
         }
+        // Everything has departed: the previous boundary's gap is final,
+        // and this boundary's gap opens at the old epoch's last departure.
+        {
+            let mut log = self.control.sink.log.lock();
+            log.close_gap(&mut self.events.lock());
+            log.mark_boundary();
+        }
 
         // Re-wire: fresh adaptors based at the boundary, new roles.
         let stages = new_solution.stages().to_vec();
@@ -573,7 +702,7 @@ impl<D: Send + 'static> RunningPipeline<D> {
             epoch: cur_epoch + 1,
             boundary_frame: base,
             downtime_us: t0.elapsed().as_secs_f64() * 1e6,
-            sink_gap_us: 0.0, // filled from sink departures by `join`
+            sink_gap_us: 0.0, // filled at the first departure after the boundary
             migrated_stages: diff.migrated_stages(),
             unchanged_stages: diff.unchanged,
             workers_added,
@@ -608,15 +737,15 @@ impl<D: Send + 'static> RunningPipeline<D> {
         }
         self.control.stop.store(true, Ordering::Relaxed);
         if let Some(watchdog) = self.watchdog.into_inner() {
+            watchdog.thread().unpark();
             watchdog.join().expect("watchdog panicked");
         }
         let elapsed = self.start.elapsed();
-        let mut departures = std::mem::take(&mut *self.control.sink.lock());
-        departures.sort_unstable();
+        let log = self.control.sink.log.lock();
         let mut events = self.events.into_inner();
-        fill_sink_gaps(&mut events, &departures);
+        log.close_gap(&mut events);
         build_report(
-            &departures,
+            &log.sketch,
             elapsed,
             &final_plan,
             self.config.warmup_fraction,
@@ -736,7 +865,7 @@ impl<D: Send + 'static> PipelineSpec<D> {
             done_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             claim: AtomicU64::new(0),
-            sink: Mutex::new(Vec::new()),
+            sink: Sink::new(),
         });
         let works: Arc<Vec<Arc<dyn TaskWork<D>>>> =
             Arc::new(self.tasks.iter().map(|t| t.work.clone()).collect());
@@ -758,14 +887,17 @@ impl<D: Send + 'static> PipelineSpec<D> {
         let watchdog = config.max_duration.map(|d| {
             let control = control.clone();
             let deadline = start + d;
-            thread::spawn(move || {
-                while Instant::now() < deadline {
-                    if control.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    thread::sleep(Duration::from_millis(2));
+            // `stop` and `join` unpark it; spurious wake-ups re-check.
+            thread::spawn(move || loop {
+                if control.stop.load(Ordering::Relaxed) {
+                    return;
                 }
-                control.stop.store(true, Ordering::Relaxed);
+                let now = Instant::now();
+                if now >= deadline {
+                    control.stop.store(true, Ordering::Relaxed);
+                    return;
+                }
+                thread::park_timeout(deadline - now);
             })
         });
 
@@ -791,61 +923,48 @@ impl<D: Send + 'static> PipelineSpec<D> {
 
 /// Fills each event's sink-observed downtime: the departure gap between
 /// the last frame of the old epoch and the first frame of the new one.
-fn fill_sink_gaps(events: &mut [ReconfigEvent], departures: &[(u64, u64)]) {
-    for event in events {
-        let b = event.boundary_frame;
-        if b == 0 || b as usize >= departures.len() {
-            continue;
+/// `(fps, fps_total, period_us, steady_state_valid)` of a run, as
+/// documented on [`RunReport`].
+fn throughput(
+    sketch: &DepartureSketch,
+    elapsed_seconds: f64,
+    warmup_fraction: f64,
+) -> (f64, f64, f64, bool) {
+    let fps_total = if elapsed_seconds > 0.0 {
+        sketch.frames as f64 / elapsed_seconds
+    } else {
+        0.0
+    };
+    match sketch.window(warmup_fraction) {
+        Some((start, span_nanos)) if span_nanos > 0 => {
+            let period = span_nanos as f64 / (sketch.frames - 1 - start) as f64; // ns per frame
+            (1e9 / period, fps_total, period / 1e3, true)
         }
-        let (before, after) = (departures[b as usize - 1].1, departures[b as usize].1);
-        event.sink_gap_us = after.saturating_sub(before) as f64 / 1e3;
+        // Whole-run fallback for runs that end inside the warm-up window:
+        // `fps` and `period_us` stay mutually consistent (no 0-period with
+        // a positive fps, which used to blow up downstream `1e6 / period_us`).
+        _ => {
+            let period = if fps_total > 0.0 {
+                1e6 / fps_total
+            } else {
+                0.0
+            };
+            (fps_total, fps_total, period, false)
+        }
     }
 }
 
 fn build_report<D>(
-    departures: &[(u64, u64)],
+    sketch: &DepartureSketch,
     elapsed: Duration,
     final_plan: &EpochPlan<D>,
     warmup_fraction: f64,
     epochs: u64,
     reconfigs: Vec<ReconfigEvent>,
 ) -> RunReport {
-    let frames = departures.len() as u64;
     let elapsed_seconds = elapsed.as_secs_f64();
-    let fps_total = if elapsed_seconds > 0.0 {
-        frames as f64 / elapsed_seconds
-    } else {
-        0.0
-    };
-    // Whole-run fallback for runs that end inside the warm-up window:
-    // `fps` and `period_us` stay mutually consistent (no 0-period with a
-    // positive fps, which used to blow up downstream `1e6 / period_us`).
-    let fallback = || {
-        let period = if fps_total > 0.0 {
-            1e6 / fps_total
-        } else {
-            0.0
-        };
-        (fps_total, period, false)
-    };
-    let (fps, period_us, steady_state_valid) = if frames >= 2 {
-        // Replicated sink stages may complete frames slightly out of
-        // sequence order; measure inter-departure gaps over time order.
-        let mut times: Vec<u64> = departures.iter().map(|&(_, t)| t).collect();
-        times.sort_unstable();
-        let warm = ((frames as f64) * warmup_fraction).floor() as usize;
-        let warm = warm.min(times.len() - 2);
-        let dt_nanos = times[times.len() - 1] - times[warm];
-        let n = (times.len() - 1 - warm) as f64;
-        if dt_nanos > 0 {
-            let period = dt_nanos as f64 / n; // ns per frame
-            (1e9 / period, period / 1e3, true)
-        } else {
-            fallback()
-        }
-    } else {
-        fallback()
-    };
+    let (fps, fps_total, period_us, steady_state_valid) =
+        throughput(sketch, elapsed_seconds, warmup_fraction);
     // Stage statistics cover the final epoch only (decompositions differ
     // across epochs), measured against the final epoch's wall-clock.
     let epoch_seconds =
@@ -871,7 +990,7 @@ fn build_report<D>(
         })
         .collect();
     RunReport {
-        frames,
+        frames: sketch.frames,
         elapsed_seconds,
         fps,
         fps_total,
@@ -1180,5 +1299,161 @@ mod tests {
         assert_eq!(r.frames, 400);
         assert_eq!(r.epochs, 1);
         assert!(r.reconfigs.is_empty());
+    }
+
+    #[test]
+    fn join_wakes_a_waiting_duration_watchdog() {
+        // The frame limit ends the run long before the deadline; `join`
+        // must unpark the watchdog instead of sleeping until it.
+        let chain = chain_replicable(2);
+        let spec = spec_counting(2);
+        let solution = Solution::new(vec![Stage::new(0, 1, 1, CoreType::Big)]);
+        let machine = VirtualMachine::new(Resources::new(1, 0));
+        let cfg = RunConfig {
+            max_duration: Some(Duration::from_secs(600)),
+            ..RunConfig::with_frames(20)
+        };
+        let t0 = Instant::now();
+        let r = spec.run(&chain, &solution, &machine, &cfg).unwrap();
+        assert_eq!(r.frames, 20);
+        assert!(t0.elapsed() < Duration::from_secs(60), "{:?}", t0.elapsed());
+    }
+
+    /// The formula the per-frame departure log used: sort every departure
+    /// time, skip `floor(frames × warmup)` of them (at most `frames − 2`)
+    /// and divide the remaining span by its intervals.
+    fn reference_throughput(
+        departures: &[(u64, u64)],
+        elapsed_seconds: f64,
+        warmup_fraction: f64,
+    ) -> (f64, f64, f64, bool) {
+        let frames = departures.len() as u64;
+        let fps_total = if elapsed_seconds > 0.0 {
+            frames as f64 / elapsed_seconds
+        } else {
+            0.0
+        };
+        let fallback = || {
+            let period = if fps_total > 0.0 {
+                1e6 / fps_total
+            } else {
+                0.0
+            };
+            (fps_total, fps_total, period, false)
+        };
+        if frames < 2 {
+            return fallback();
+        }
+        let mut times: Vec<u64> = departures.iter().map(|&(_, t)| t).collect();
+        times.sort_unstable();
+        let warm = ((frames as f64) * warmup_fraction).floor() as usize;
+        let warm = warm.min(times.len() - 2);
+        let dt_nanos = times[times.len() - 1] - times[warm];
+        let n = (times.len() - 1 - warm) as f64;
+        if dt_nanos > 0 {
+            let period = dt_nanos as f64 / n;
+            (1e9 / period, fps_total, period / 1e3, true)
+        } else {
+            fallback()
+        }
+    }
+
+    /// A synthetic sink series: non-decreasing departure times with ties
+    /// and occasional stalls, and sequence numbers out of order the way a
+    /// replicated last stage may deliver them (the formula ignores them).
+    fn synthetic_departures(n: usize, seed: u64) -> Vec<(u64, u64)> {
+        let mut state = seed;
+        let mut t = 0u64;
+        (0..n as u64)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                t += match state >> 60 {
+                    0..=2 => 0,
+                    15 => 50_000 + (state >> 40) % 100_000,
+                    _ => 1_000 + (state >> 33) % 4_000,
+                };
+                (i ^ (state >> 63), t)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sketch_window_matches_the_sorted_log_up_to_its_cap() {
+        for seed in [1, 2] {
+            let departures = synthetic_departures(SKETCH_CAP, seed);
+            let elapsed = (departures[SKETCH_CAP - 1].1 + 7_000) as f64 / 1e9;
+            for warmup in [0.0, 0.2, 0.5, 0.999, 1.0] {
+                let mut sketch = DepartureSketch::new();
+                for n in 0..=SKETCH_CAP {
+                    if n > 0 {
+                        sketch.record(departures[n - 1].1);
+                    }
+                    assert_eq!(sketch.stride, 1);
+                    assert_eq!(sketch.kept.len(), n);
+                    assert_eq!(
+                        throughput(&sketch, elapsed, warmup),
+                        reference_throughput(&departures[..n], elapsed, warmup),
+                        "seed {seed}, warmup {warmup}, {n} frames"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sketch_stays_bounded_and_its_window_within_one_stride() {
+        let time = |i: u64| i * 3 + (i * i) % 7;
+        let mut sketch = DepartureSketch::new();
+        for n in 1..=1_000_000u64 {
+            sketch.record(time(n - 1));
+            assert!(sketch.kept.len() <= SKETCH_CAP && sketch.kept.capacity() <= SKETCH_CAP);
+            for warmup in [0.2, 0.5] {
+                let (start, span) = sketch.window(warmup).unwrap_or((0, 0));
+                let warm = ((n as f64) * warmup).floor() as u64;
+                let warm = warm.min(n.saturating_sub(2));
+                assert!(start <= warm && warm - start < sketch.stride, "{n} frames");
+                assert_eq!(span, time(n - 1) - time(start), "{n} frames");
+            }
+        }
+        assert_eq!(sketch.frames, 1_000_000);
+        assert!(sketch.stride > 1);
+        for (j, &t) in sketch.kept.iter().enumerate() {
+            assert_eq!(t, time(j as u64 * sketch.stride));
+        }
+    }
+
+    #[test]
+    fn short_runs_keep_their_fallbacks() {
+        let cases: [&[(u64, u64)]; 4] = [
+            &[],
+            &[(0, 500)],
+            &[(0, 500), (1, 900)],
+            &[(1, 700), (0, 700)],
+        ];
+        for departures in cases {
+            let mut sketch = DepartureSketch::new();
+            for &(_, t) in departures {
+                sketch.record(t);
+            }
+            for elapsed in [0.0, 0.5] {
+                let got = throughput(&sketch, elapsed, 0.2);
+                assert_eq!(got, reference_throughput(departures, elapsed, 0.2));
+                let (fps, _, period_us, valid) = got;
+                assert_eq!(
+                    valid,
+                    departures.len() == 2 && departures[0].1 != departures[1].1
+                );
+                if fps > 0.0 {
+                    assert!((fps - 1e6 / period_us).abs() / fps < 1e-9);
+                }
+            }
+        }
+        // Two distinct departures always give a steady window.
+        let mut sketch = DepartureSketch::new();
+        sketch.record(500);
+        sketch.record(900);
+        assert_eq!(throughput(&sketch, 0.5, 0.2).2, 0.4);
     }
 }

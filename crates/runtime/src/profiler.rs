@@ -21,7 +21,7 @@ pub struct ProfileConfig {
     pub frames: u64,
     /// Leading frames discarded (cache warm-up).
     pub warmup: u64,
-    /// Weight scale: one weight unit equals this many nanoseconds. Mean
+    /// Weight scale: one weight unit equals this many nanoseconds. Median
     /// latencies are divided by it, rounded up, floored at 1. Use 1 (the
     /// default) for nanosecond weights, 1000 for the paper's microsecond
     /// tables when every task is far above 1 µs.
@@ -39,7 +39,7 @@ impl Default for ProfileConfig {
 }
 
 /// Runs every task of `spec` `config.frames` times on each core type and
-/// returns a [`TaskChain`] whose weights are the measured mean latencies
+/// returns a [`TaskChain`] whose weights are the measured median latencies
 /// in units of [`ProfileConfig::unit_nanos`] (rounded up, minimum 1).
 ///
 /// # Panics
@@ -58,18 +58,23 @@ pub fn profile_chain<D>(
         .map(|task| {
             let mut weights = [0u64; 2];
             for (slot, core) in CoreType::BOTH.into_iter().enumerate() {
-                let mut total_nanos = 0u64;
+                let mut samples = Vec::with_capacity(config.frames as usize);
                 for f in 0..config.frames {
                     let mut data = source(f);
                     let t0 = Instant::now();
                     task.work.process(f, &mut data, core);
                     let dt = t0.elapsed().as_nanos() as u64;
                     if f >= config.warmup {
-                        total_nanos += dt;
+                        samples.push(dt);
                     }
                 }
-                let mean_nanos = total_nanos as f64 / (config.frames - config.warmup) as f64;
-                let units = (mean_nanos / config.unit_nanos as f64).ceil() as u64;
+                // The median, not the mean: one frame preempted by another
+                // thread would otherwise inflate the weight by a whole
+                // scheduler time slice and can invert a task's big/little
+                // ratio on a busy host.
+                let mid = samples.len() / 2;
+                let median_nanos = *samples.select_nth_unstable(mid).1;
+                let units = median_nanos.div_ceil(config.unit_nanos);
                 weights[slot] = units.max(1);
             }
             Task {

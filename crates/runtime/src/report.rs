@@ -33,9 +33,11 @@ pub struct ReconfigEvent {
     /// workers resumed on the new decomposition (includes the incremental
     /// re-solve, the drain and the re-wiring).
     pub downtime_us: f64,
-    /// Sink-observed downtime in microseconds: the departure gap between
-    /// frame `boundary_frame - 1` and frame `boundary_frame` (0 when
-    /// either frame does not exist). Includes the pipeline re-fill.
+    /// Sink-observed downtime in microseconds: the old epoch's last sink
+    /// departure → the new epoch's first sink departure (0 when either
+    /// side has none). Includes the drain tail and the pipeline re-fill.
+    /// With a replicated last stage these need not be frames
+    /// `boundary_frame - 1` and `boundary_frame`.
     pub sink_gap_us: f64,
     /// Stages of the new decomposition that required migration (resized
     /// or freshly cut spans, per [`amp_core::sched::ScheduleDiff`]).
@@ -56,7 +58,12 @@ pub struct RunReport {
     /// Wall-clock duration of the run, in seconds.
     pub elapsed_seconds: f64,
     /// Steady-state throughput: frames per second measured over sink
-    /// departures after the warm-up window. Falls back to [`fps_total`]
+    /// departures, in departure order, from the window start to the last
+    /// departure. The window starts at departure
+    /// `floor(frames × warmup_fraction)` rounded down to one the
+    /// runtime's departure sketch kept (every `stride`-th of at most 4096):
+    /// exact up to 4096 frames, and shifted by less than one `stride`
+    /// beyond. Falls back to [`fps_total`]
     /// when the run terminated before a steady-state window existed —
     /// check [`steady_state_valid`] before trusting it as a steady-state
     /// figure.

@@ -7,7 +7,7 @@ use amp_core::{CoreType, Resources, Solution, Stage, Task, TaskChain};
 use amp_runtime::{spin_for_micros, FnWork, PipelineSpec, RunConfig, RuntimeTask, VirtualMachine};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Wall-clock tests contend for CPU when run in parallel; serialize them.
 fn serial() -> MutexGuard<'static, ()> {
@@ -65,10 +65,10 @@ fn assert_lossless(trace: &Trace, total: u64) {
 
 /// Waits (bounded) for the live pipeline to pass `target` sink frames.
 fn wait_frames(live: &amp_runtime::RunningPipeline<Vec<u64>>, target: u64) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let deadline = Instant::now() + Duration::from_secs(20);
     while live.frames_done() < target {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "pipeline stalled before frame {target}"
         );
         thread::yield_now();
@@ -325,4 +325,70 @@ fn late_migration_with_a_tiny_final_epoch_is_lossless() {
     let report = live.join();
     assert_eq!(report.frames, total);
     assert_lossless(&trace, total);
+}
+
+/// With one replica in the last stage, the old epoch's last departure is
+/// frame `b - 1` and the new epoch's first is frame `b`, so the reported
+/// sink gap must match the sink task's own stamps of those two frames.
+#[test]
+fn sink_gap_spans_the_boundary_frames_with_a_single_replica_sink() {
+    let _guard = serial();
+    let chain = TaskChain::new(vec![Task::new(1000, 2000, true), Task::new(20, 40, false)]);
+    let stamps = Arc::new(Mutex::new(Vec::new()));
+    let sink = stamps.clone();
+    let spec = PipelineSpec::new(
+        Arc::new(|_| Vec::new()),
+        vec![
+            RuntimeTask::new(
+                "heavy",
+                true,
+                FnWork(|seq: u64, d: &mut Vec<u64>, _c: CoreType| {
+                    let _ = spin_for_micros(1000.0, seq | 1);
+                    d.push(0);
+                }),
+            ),
+            RuntimeTask::new(
+                "sink",
+                false,
+                FnWork(move |seq: u64, _d: &mut Vec<u64>, _c: CoreType| {
+                    sink.lock().unwrap().push((seq, Instant::now()));
+                }),
+            ),
+        ],
+    );
+    let wide = VirtualMachine::new(Resources::new(2, 0));
+    let narrow = VirtualMachine::new(Resources::new(1, 0));
+    let wide_solution = Herad::new().schedule(&chain, wide.resources()).unwrap();
+    let total = 160u64;
+    let live = spec
+        .launch(
+            &chain,
+            &wide_solution,
+            &wide,
+            &RunConfig::with_frames(total),
+        )
+        .unwrap();
+
+    wait_frames(&live, 40);
+    let event = live.reconfigure(&narrow).expect("shrink migration");
+    assert!(event.migrated_stages > 0, "{event:?}");
+    let b = event.boundary_frame;
+    assert!(b > 0 && b < total, "{event:?}");
+    wait_frames(&live, b + 10);
+    // Known while running once a frame departed through the new epoch.
+    let live_gap = live.reconfig_events()[0].sink_gap_us;
+    let report = live.join();
+    assert_eq!(report.frames, total);
+    let gap = report.reconfigs[0].sink_gap_us;
+    assert_eq!(gap, live_gap);
+
+    let stamps = stamps.lock().unwrap();
+    assert_eq!(stamps.len() as u64, total);
+    let at = |frame: u64| stamps.iter().find(|&&(s, _)| s == frame).unwrap().1;
+    let expected = at(b).duration_since(at(b - 1)).as_secs_f64() * 1e6;
+    assert!(
+        gap > 0.0 && (gap - expected).abs() < 300.0,
+        "sink gap {gap} us, frames {} -> {b} stamped {expected} us apart",
+        b - 1
+    );
 }

@@ -66,6 +66,11 @@ cargo run --release -p amp-bench --bin perf -- --smoke --out BENCH_sched.json
 # not accumulate reader handles).
 scripts/hang_guard.sh 900 cargo test --release -q -p amp-net --test wire_alloc --test wire_order --test handle_reap
 
+# Runtime sink gate, release mode: a pipeline launched without a frame
+# limit must account for 200k steady-state departures with zero heap
+# allocations (constant-memory departure sketch, no per-frame log).
+scripts/hang_guard.sh 900 cargo test --release -q -p amp-runtime --test sink_alloc
+
 # Network smoke gate: the seeded load generator boots a 4-shard server on
 # loopback and audits the wire end to end. Steady phase: every pipelined
 # request answered, zero lost/duplicated/misrouted by id, cache hit rate
