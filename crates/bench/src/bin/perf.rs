@@ -33,6 +33,14 @@
 //! same-core-count rationals, which is exactly the equal-denominator
 //! fast path.
 //!
+//! A last `service_cache` block, run after every allocation pass, times
+//! single requests through the `amp-service` engine: **cold** on an engine
+//! with the exact LRU disabled (`cache_capacity: 0`, every request pays
+//! the portfolio), **warm** on an engine prefilled with the same
+//! requests (every request is an LRU hit). Both are per-request medians
+//! of `Policy::Portfolio` requests for the workload chains at the
+//! benchmark pool.
+//!
 //! The run writes `BENCH_sched.json` and **exits non-zero** if any of
 //! the HeRAD gates fail:
 //!
@@ -41,7 +49,8 @@
 //! * the batched median exceeds the cold median or the cold sweep median
 //!   (batching must never be slower than solving cold on one thread);
 //! * the service's chain tier pays anything but exactly one cold solve
-//!   per chain over the sweep, or its sweep speedup drops below 1.5.
+//!   per chain over the sweep, or its sweep speedup drops below 1.5;
+//! * the warm service-cache median is not below the cold one.
 //!
 //! ```text
 //! perf [--smoke] [--out PATH]
@@ -55,7 +64,7 @@ use amp_bench::alloc_track::{self, TrackingAllocator};
 use amp_conformance::gen::{instance_for_seed, GenConfig};
 use amp_core::sched::{schedule_many_with, Fertac, Herad, Otac, SchedScratch, Scheduler, Twocatac};
 use amp_core::{Ratio, Resources, Solution, TaskChain};
-use amp_service::{ChainTier, TaskSpec};
+use amp_service::{ChainTier, Engine, EngineConfig, Policy, ScheduleRequest, TaskSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -375,6 +384,62 @@ fn bench_chain_tier(
     }
 }
 
+struct ServiceCacheReport {
+    cold: Dist,
+    warm: Dist,
+    warm_speedup: f64,
+}
+
+/// Times each workload chain as one portfolio request at `POOL`, `reps`
+/// rounds, through a cold engine (exact LRU disabled) and a warm one
+/// (LRU prefilled with the same requests). Requests are cloned outside
+/// the timed region, so a sample is one `schedule_blocking` round trip.
+fn bench_service_cache(chains: &[TaskChain], cfg: &PerfConfig) -> ServiceCacheReport {
+    let requests: Vec<ScheduleRequest> = chains
+        .iter()
+        .enumerate()
+        .map(|(i, c)| ScheduleRequest::from_chain(i as u64, c, POOL, Policy::Portfolio))
+        .collect();
+    let engine = |cache_capacity: usize| {
+        Engine::start(EngineConfig {
+            workers: 2,
+            cache_capacity,
+            ..EngineConfig::default()
+        })
+    };
+    let time = |engine: &Engine| -> Dist {
+        let mut samples = Vec::with_capacity(cfg.reps * requests.len());
+        for _ in 0..cfg.reps {
+            for req in &requests {
+                let req = req.clone();
+                let t = Instant::now();
+                let resp = engine.schedule_blocking(black_box(req));
+                samples.push(t.elapsed().as_nanos());
+                assert!(black_box(resp).result.is_ok(), "service request failed");
+            }
+        }
+        dist(&mut samples)
+    };
+
+    let cold_engine = engine(0);
+    let cold = time(&cold_engine);
+    cold_engine.shutdown();
+
+    let warm_engine = engine(EngineConfig::default().cache_capacity);
+    for req in &requests {
+        let resp = warm_engine.schedule_blocking(req.clone());
+        assert!(resp.result.is_ok(), "warm-up request must be feasible");
+    }
+    let warm = time(&warm_engine);
+    warm_engine.shutdown();
+
+    ServiceCacheReport {
+        cold,
+        warm,
+        warm_speedup: cold.median_ns as f64 / warm.median_ns.max(1) as f64,
+    }
+}
+
 struct RatioCmpReport {
     integer_ns: f64,
     equal_den_ns: f64,
@@ -433,6 +498,7 @@ fn render_json(
     ratio: &RatioCmpReport,
     tier: &TierReport,
     tier_speedup: f64,
+    service: &ServiceCacheReport,
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -475,6 +541,10 @@ fn render_json(
         tier_speedup,
         tier.cold_solves_per_sweep,
         tier.tier_serves_per_sweep
+    ));
+    s.push_str(&format!(
+        "  \"service_cache\": {{ \"cold_median_ns\": {}, \"warm_median_ns\": {}, \"warm_speedup\": {:.2} }},\n",
+        service.cold.median_ns, service.warm.median_ns, service.warm_speedup
     ));
     s.push_str("  \"strategies\": [\n");
     for (i, r) in reports.iter().enumerate() {
@@ -571,7 +641,13 @@ fn main() {
         tier.serve.median_ns, tier_speedup, tier.cold_solves_per_sweep, tier.tier_serves_per_sweep
     );
 
-    let json = render_json(&cfg, &reports, &ratio, &tier, tier_speedup);
+    let service = bench_service_cache(&chains, &cfg);
+    eprintln!(
+        "service_cache cold {:>9} ns  warm {:>7} ns per request ({:.2}x)",
+        service.cold.median_ns, service.warm.median_ns, service.warm_speedup
+    );
+
+    let json = render_json(&cfg, &reports, &ratio, &tier, tier_speedup, &service);
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
@@ -623,12 +699,19 @@ fn main() {
         );
         failed = true;
     }
+    if service.warm.median_ns >= service.cold.median_ns {
+        eprintln!(
+            "FAIL: service warm-cache median {} ns is not below cold median {} ns",
+            service.warm.median_ns, service.cold.median_ns
+        );
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }
     eprintln!(
         "OK: HeRAD warm steady state allocation-free, sweep_speedup {:.2} >= 1.5, batched <= cold, \
-         chain tier solve-once at {tier_speedup:.2}x",
-        herad.sweep_speedup
+         chain tier solve-once at {tier_speedup:.2}x, service cache warm < cold ({:.2}x)",
+        herad.sweep_speedup, service.warm_speedup
     );
 }

@@ -1,20 +1,15 @@
-//! # amp-bench — Criterion benchmarks
+//! # amp-bench — measured scheduler performance
 //!
-//! One benchmark group per paper table/figure (representative points; the
-//! full sweeps live in `amp-experiments` binaries):
+//! Two pieces, both used by gates:
 //!
-//! * `fig3/*`, `fig4/*` (`benches/strategy_times.rs`) — scheduling time
-//!   per strategy vs task count and resource count;
-//! * `table1/*` (`benches/strategy_times.rs`) — scheduling a paper-shaped
-//!   synthetic chain on the Table I resource pairs;
-//! * `table2/*` (`benches/dvbs2_sched.rs`) — scheduling the DVB-S2
-//!   receiver profile on the Table II configurations;
-//! * `fig5/*` (`benches/sim_throughput.rs`) — the discrete-event
-//!   simulation that produces the achieved-throughput columns;
-//! * `table3/*` (`benches/dsp_blocks.rs`) — the functional DVB-S2 blocks
-//!   (this crate's own Table III);
-//! * `runtime/*` (`benches/runtime_primitives.rs`) — adaptor and spin
-//!   primitives of the threaded runtime.
+//! * the `perf` binary (`src/bin/perf.rs`) — the deterministic scheduler
+//!   perf runner that writes `BENCH_sched.json` and exits non-zero when a
+//!   HeRAD, chain-tier or service-cache gate fails;
+//! * [`alloc_track`] — a counting global allocator for `perf` and the
+//!   allocation-regression tests (here and in `amp-net`).
+//!
+//! The full paper sweeps (Fig. 3/4, Tables I–III) live in the
+//! `amp-experiments` binaries.
 
 /// A counting global allocator for allocation-regression tests and the
 /// `perf` runner.
@@ -92,50 +87,5 @@ pub mod alloc_track {
         let before = thread_count();
         let result = f();
         (result, thread_count() - before)
-    }
-}
-
-/// Shared workload shapes for the benches.
-pub mod fixtures {
-    use amp_core::{Resources, TaskChain};
-    use amp_workload::SyntheticConfig;
-
-    /// One paper-shaped chain (20 tasks, SR 0.5), deterministic.
-    #[must_use]
-    pub fn paper_chain() -> TaskChain {
-        SyntheticConfig::paper(0.5)
-            .generate_batch(0xBE9C4, 1)
-            .pop()
-            .unwrap()
-    }
-
-    /// A chain with `n` tasks (paper weights, SR 0.5), deterministic.
-    #[must_use]
-    pub fn chain_with(n: usize) -> TaskChain {
-        SyntheticConfig::paper(0.5)
-            .with_num_tasks(n)
-            .generate_batch(0xBE9C4 + n as u64, 1)
-            .pop()
-            .unwrap()
-    }
-
-    /// The Table I resource pairs.
-    #[must_use]
-    pub fn table1_resources() -> [Resources; 3] {
-        amp_workload::table1_resources()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::fixtures;
-
-    #[test]
-    fn fixtures_are_deterministic() {
-        assert_eq!(
-            fixtures::paper_chain().tasks(),
-            fixtures::paper_chain().tasks()
-        );
-        assert_eq!(fixtures::chain_with(40).len(), 40);
     }
 }

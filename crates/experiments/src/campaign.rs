@@ -6,11 +6,10 @@ use crate::stats::{slowdown_ratio, Summary};
 use amp_core::sched::{paper_strategies, schedule_many_with, SchedScratch};
 use amp_core::Resources;
 use amp_workload::SyntheticConfig;
-use serde::{Deserialize, Serialize};
 
 /// Campaign parameters (defaults mirror the paper: 1000 chains of 20
 /// tasks).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// Chains per (resources, SR) combination.
     pub chains: usize,
@@ -36,7 +35,7 @@ impl CampaignConfig {
 }
 
 /// Average core usage of a strategy across a batch.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CoreUsage {
     /// Mean big cores used.
     pub big: f64,
@@ -45,7 +44,7 @@ pub struct CoreUsage {
 }
 
 /// Per-strategy campaign outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StrategyStats {
     /// Strategy display name.
     pub name: String,
@@ -78,7 +77,7 @@ impl StrategyStats {
 
 /// Outcome of one (R, SR) sweep: stats per strategy, in
 /// [`paper_strategies`] order (HeRAD first).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepOutcome {
     /// The configuration that produced this outcome.
     pub config: CampaignConfig,

@@ -38,9 +38,14 @@ impl Default for ProfileConfig {
     }
 }
 
-/// Runs every task of `spec` `config.frames` times on each core type and
-/// returns a [`TaskChain`] whose weights are the measured median latencies
-/// in units of [`ProfileConfig::unit_nanos`] (rounded up, minimum 1).
+/// Runs `config.frames` frames from `source` through the whole chain on
+/// each core type and returns a [`TaskChain`] whose weights are each
+/// task's measured median latency in units of
+/// [`ProfileConfig::unit_nanos`] (rounded up, minimum 1).
+///
+/// Tasks run in chain order on the same frame, so task *i* sees what
+/// tasks 0..i left in it, as it does in a pipeline; only task *i*'s own
+/// `process` call is timed.
 ///
 /// # Panics
 /// Panics when `config` leaves no measured frames after warm-up or has a
@@ -53,36 +58,40 @@ pub fn profile_chain<D>(
 ) -> TaskChain {
     assert!(config.frames > config.warmup, "need frames after warm-up");
     assert!(config.unit_nanos > 0, "weight unit must be at least 1 ns");
+    let mut weights = vec![[0u64; 2]; tasks.len()];
+    let measured_frames = (config.frames - config.warmup) as usize;
+    let mut samples = vec![Vec::with_capacity(measured_frames); tasks.len()];
+    for (slot, core) in CoreType::BOTH.into_iter().enumerate() {
+        for f in 0..config.frames {
+            let mut data = source(f);
+            for (task, task_samples) in tasks.iter().zip(&mut samples) {
+                let t0 = Instant::now();
+                task.work.process(f, &mut data, core);
+                let dt = t0.elapsed().as_nanos() as u64;
+                if f >= config.warmup {
+                    task_samples.push(dt);
+                }
+            }
+        }
+        for (task_weights, task_samples) in weights.iter_mut().zip(&mut samples) {
+            // The median, not the mean: one frame preempted by another
+            // thread would otherwise inflate the weight by a whole
+            // scheduler time slice and can invert a task's big/little
+            // ratio on a busy host.
+            let mid = task_samples.len() / 2;
+            let median_nanos = *task_samples.select_nth_unstable(mid).1;
+            task_weights[slot] = median_nanos.div_ceil(config.unit_nanos).max(1);
+            task_samples.clear();
+        }
+    }
     let measured: Vec<Task> = tasks
         .iter()
-        .map(|task| {
-            let mut weights = [0u64; 2];
-            for (slot, core) in CoreType::BOTH.into_iter().enumerate() {
-                let mut samples = Vec::with_capacity(config.frames as usize);
-                for f in 0..config.frames {
-                    let mut data = source(f);
-                    let t0 = Instant::now();
-                    task.work.process(f, &mut data, core);
-                    let dt = t0.elapsed().as_nanos() as u64;
-                    if f >= config.warmup {
-                        samples.push(dt);
-                    }
-                }
-                // The median, not the mean: one frame preempted by another
-                // thread would otherwise inflate the weight by a whole
-                // scheduler time slice and can invert a task's big/little
-                // ratio on a busy host.
-                let mid = samples.len() / 2;
-                let median_nanos = *samples.select_nth_unstable(mid).1;
-                let units = median_nanos.div_ceil(config.unit_nanos);
-                weights[slot] = units.max(1);
-            }
-            Task {
-                name: task.name.clone(),
-                weight_big: weights[0],
-                weight_little: weights[1],
-                replicable: task.replicable,
-            }
+        .zip(weights)
+        .map(|(task, [weight_big, weight_little])| Task {
+            name: task.name.clone(),
+            weight_big,
+            weight_little,
+            replicable: task.replicable,
         })
         .collect();
     TaskChain::new(measured)
@@ -91,7 +100,7 @@ pub fn profile_chain<D>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::work::WeightedWork;
+    use crate::work::{FnWork, WeightedWork};
 
     #[test]
     fn profiled_weights_track_the_work_model() {
@@ -120,6 +129,38 @@ mod tests {
         // The little/big ratio should roughly match the 4x / 2x setup.
         let r0 = t0.weight_little as f64 / t0.weight_big as f64;
         assert!((2.0..=8.0).contains(&r0), "ratio {r0}");
+    }
+
+    /// Regression: each task must see the frame its predecessors
+    /// produced. The second task pops what the first pushes; profiling
+    /// it on a fresh source frame would find an empty buffer and panic.
+    #[test]
+    fn each_task_sees_the_output_of_the_tasks_before_it() {
+        let tasks = vec![
+            RuntimeTask::<Vec<u8>>::new(
+                "push",
+                false,
+                FnWork(|seq: u64, data: &mut Vec<u8>, _: CoreType| data.push(seq as u8)),
+            ),
+            RuntimeTask::<Vec<u8>>::new(
+                "pop",
+                true,
+                FnWork(|seq: u64, data: &mut Vec<u8>, _: CoreType| {
+                    assert_eq!(data.pop(), Some(seq as u8), "input of the first task");
+                }),
+            ),
+        ];
+        let config = ProfileConfig {
+            frames: 3,
+            warmup: 1,
+            unit_nanos: 1,
+        };
+        let chain = profile_chain(&tasks, |_| Vec::new(), &config);
+        assert_eq!(chain.len(), 2);
+        assert!(chain
+            .tasks()
+            .iter()
+            .all(|t| t.weight_big >= 1 && t.weight_little >= 1));
     }
 
     #[test]

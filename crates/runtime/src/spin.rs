@@ -16,23 +16,29 @@ pub struct SpinCalibration {
 }
 
 impl SpinCalibration {
-    /// Measures the host: runs the kernel in growing batches until a batch
-    /// takes at least 20 ms, then derives iterations per microsecond.
+    /// Measures the host: grows a kernel batch until it lasts at least
+    /// 2 ms, then derives iterations per microsecond from the fastest of
+    /// ten such readings. A reading is only ever slowed by other work, so
+    /// the fastest is the kernel's own rate; a single reading taken while
+    /// other threads held the CPU would make every later spin of the
+    /// process short by the same factor.
     #[must_use]
     pub fn calibrate() -> SpinCalibration {
-        let mut iters: u64 = 10_000;
-        loop {
+        const READING: Duration = Duration::from_millis(2);
+        const READINGS: u32 = 10;
+        let time = |iters: u64| {
             let start = Instant::now();
             let _ = spin_kernel(iters, 0x9e37_79b9);
-            let dt = start.elapsed();
-            if dt >= Duration::from_millis(20) {
-                let micros = dt.as_secs_f64() * 1e6;
-                return SpinCalibration {
-                    iters_per_micro: (iters as f64 / micros).max(1.0),
-                };
-            }
+            start.elapsed()
+        };
+        let mut iters: u64 = 10_000;
+        while time(iters) < READING {
             iters = iters.saturating_mul(2);
         }
+        let iters_per_micro = (0..READINGS)
+            .map(|_| iters as f64 / (time(iters).as_secs_f64() * 1e6))
+            .fold(1.0, f64::max);
+        SpinCalibration { iters_per_micro }
     }
 
     /// The process-wide calibration, measured once on first use.

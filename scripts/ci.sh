@@ -10,6 +10,13 @@ cargo build --release
 # thread's name and kernel wait channel, kills the test processes and fails.
 scripts/hang_guard.sh 2400 cargo test -q
 
+# Table III self-check: profiles the functional DVB-S2 receiver (all 23
+# reduced-scale DSP blocks, each fed the output of the blocks before it,
+# padded to the Mac Studio profile) through the runtime's profiler on
+# both virtual core types, the measure step of the paper's
+# measure-then-schedule workflow. Exits non-zero if any block panics.
+cargo run --release -p amp-experiments --bin table3 -- --self-check
+
 # Conformance gate: replay the regression corpus, then fuzz a bounded
 # batch of seeded instances (small n so the exhaustive oracle stays fast)
 # against the oracle, the metamorphic properties, the service engine and
@@ -54,7 +61,9 @@ cargo run --release -p amp-experiments --bin energy_sweep -- --smoke --out BENCH
 # parked table, and rebuilds reusing its buffers when the chain changes)
 # performing steady-state heap allocations, HeRAD's pool-delta
 # sweep_speedup dropping below 1.5, HeRAD's batched median exceeding the
-# cold median, or the chain tier paying more than one cold solve per chain.
+# cold median, the chain tier paying more than one cold solve per chain,
+# or the service engine's warm (exact-LRU hit) per-request median not
+# being below its cold (cache disabled) one.
 cargo run --release -p amp-bench --bin perf -- --smoke --out BENCH_sched.json
 
 # Wire hot-path gates, release mode: the zero-steady-state-allocation
