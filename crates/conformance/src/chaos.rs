@@ -31,9 +31,7 @@ use crate::checks::Mismatch;
 use crate::instance::Instance;
 use amp_core::sched::{SchedScratch, Scheduler};
 use amp_core::{CoreType, Resources, Solution, Stage, TaskChain};
-use amp_service::{
-    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest, ServiceError, StrategyWrap,
-};
+use amp_service::{Engine, EngineConfig, Policy, ScheduleRequest, ServiceError, StrategyWrap};
 
 /// Injection rates and determinism seed for one chaos run.
 #[derive(Clone, Copy, Debug)]
@@ -208,11 +206,9 @@ impl ChaosHarness {
         let counters = Arc::new(ChaosCounters::default());
         let engine = Engine::start(EngineConfig {
             workers: cfg.workers,
-            racer_threads: cfg.workers * 2,
             queue_depth: 256,
             cache_capacity: 1024,
             cache_shards: 4,
-            portfolio: PortfolioConfig::default(),
             fault_wrap: Some(chaos_wrap(cfg, Arc::clone(&counters))),
             ..EngineConfig::default()
         });
@@ -406,22 +402,22 @@ impl ChaosHarness {
             instance: "chaos final accounting".to_string(),
             detail,
         };
-        if injected_panics != m.worker_panics + m.racer_panics {
+        if injected_panics != m.worker_panics + m.member_panics {
             out.push(mismatch(
                 "CHAOS_PANIC_ACCOUNTING",
                 format!(
-                    "{injected_panics} panics injected but metrics saw {} (worker) + {} (racer)",
-                    m.worker_panics, m.racer_panics
+                    "{injected_panics} panics injected but metrics saw {} (worker) + {} (member)",
+                    m.worker_panics, m.member_panics
                 ),
             ));
         }
-        if injected_invalids != m.racer_invalid + m.invalid_solutions {
+        if injected_invalids != m.member_invalid + m.invalid_solutions {
             out.push(mismatch(
                 "CHAOS_INVALID_ACCOUNTING",
                 format!(
-                    "{injected_invalids} invalid solutions injected but metrics saw {} (racer) \
+                    "{injected_invalids} invalid solutions injected but metrics saw {} (member) \
                      + {} (engine vet)",
-                    m.racer_invalid, m.invalid_solutions
+                    m.member_invalid, m.invalid_solutions
                 ),
             ));
         }

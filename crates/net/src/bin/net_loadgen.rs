@@ -466,7 +466,6 @@ fn main() -> ExitCode {
                 shards: 1,
                 per_shard: amp_service::EngineConfig {
                     workers: 1,
-                    racer_threads: 1,
                     queue_depth: 1,
                     cache_capacity: 0,
                     ..amp_service::EngineConfig::default()

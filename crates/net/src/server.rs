@@ -98,13 +98,11 @@ impl Default for ServerConfig {
     fn default() -> Self {
         let cores = thread::available_parallelism().map_or(4, usize::from);
         let shards = 4;
-        let workers = (cores / shards).max(1);
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             shards,
             per_shard: EngineConfig {
-                workers,
-                racer_threads: workers * 2,
+                workers: (cores / shards).max(1),
                 queue_depth: 256,
                 cache_capacity: 1024,
                 cache_shards: 8,

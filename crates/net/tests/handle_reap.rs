@@ -17,7 +17,6 @@ fn light_config() -> ServerConfig {
         shards: 1,
         per_shard: EngineConfig {
             workers: 1,
-            racer_threads: 1,
             queue_depth: 64,
             cache_capacity: 64,
             cache_shards: 1,

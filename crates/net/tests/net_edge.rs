@@ -25,7 +25,6 @@ fn small_server_config() -> ServerConfig {
         shards: 2,
         per_shard: EngineConfig {
             workers: 2,
-            racer_threads: 2,
             queue_depth: 64,
             cache_capacity: 64,
             cache_shards: 2,

@@ -36,7 +36,6 @@ fn single_lane_config() -> ServerConfig {
         shards: 1,
         per_shard: EngineConfig {
             workers: 1,
-            racer_threads: 1,
             queue_depth: 512,
             cache_capacity: 256,
             cache_shards: 1,

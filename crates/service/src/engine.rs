@@ -8,8 +8,10 @@
 //! while [`Engine::submit`] blocks until a slot frees up. Worker threads
 //! pop jobs, consult the [`SolutionCache`], run the requested policy —
 //! one strategy via [`strategy_by_name`], or the deadline-bounded
-//! [`portfolio`](crate::portfolio) — and send exactly one
-//! [`ScheduleResponse`] per request on the caller's reply channel.
+//! [`portfolio`](crate::portfolio) ladder, inline on the same worker and
+//! scratch — and send exactly one [`ScheduleResponse`] per request on
+//! the caller's reply channel. The workers are the engine's only
+//! threads.
 //!
 //! Every queue slot carries a batch, and a single submission is a batch
 //! of one. Pipelined front ends (the `amp-net` socket server) hand over
@@ -25,8 +27,10 @@
 //! ## Robustness contract
 //!
 //! *No accepted request is ever dropped without a response* — even when
-//! the strategy panics. Every request's compute runs under
-//! [`catch_unwind`]: a panic becomes a typed
+//! the strategy panics. A panicking portfolio member is contained by the
+//! ladder itself (counted in `member_panics`; the other members still
+//! answer). Every request's compute runs under
+//! [`catch_unwind`]: any other panic becomes a typed
 //! [`ServiceError::Internal`] response, is counted in the
 //! `worker_panics` metric, and the worker's scratch arena is replaced
 //! (a half-written DP table is not trustworthy). Should anything
@@ -68,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use amp_core::sched::{
     energy_strategy_by_name, strategy_by_name, EnergyDp, EnergyFertac, EnergyScheduler,
-    EnergyTwocatac, SchedScratch,
+    EnergyTwocatac, SchedScratch, Scheduler,
 };
 use amp_core::{MilliPower, Ratio, Resources, Solution, TaskChain};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -78,9 +82,24 @@ use crate::cache::{CacheKey, CacheStats, SolutionCache};
 use crate::chain_tier::{ChainTier, ChainTierStats, SnapshotError, TierFaultHook};
 use crate::error::ServiceError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::portfolio::{self, PortfolioConfig};
-use crate::racer::{solution_is_sound, RacerPool, StrategyWrap};
+use crate::portfolio::{self, solution_is_sound, TWOCATAC_NODE_BUDGET};
 use crate::request::{Policy, ScheduleOutcome, ScheduleRequest, ScheduleResponse};
+
+/// Test-only fault-injection seam: wraps every scheduler the service is
+/// about to run (portfolio members and single-strategy requests). `None`
+/// in every production configuration.
+pub type StrategyWrap = Arc<dyn Fn(Box<dyn Scheduler>) -> Box<dyn Scheduler> + Send + Sync>;
+
+/// Applies the fault-injection wrap (identity when none is set).
+pub(crate) fn wrapped(
+    wrap: Option<&StrategyWrap>,
+    strategy: Box<dyn Scheduler>,
+) -> Box<dyn Scheduler> {
+    match wrap {
+        Some(wrap) => wrap(strategy),
+        None => strategy,
+    }
+}
 
 /// Sizing and tuning of an [`Engine`].
 #[derive(Clone)]
@@ -89,19 +108,12 @@ pub struct EngineConfig {
     /// only useful in tests probing backpressure; the blocking
     /// submission paths then reject instead of deadlocking.
     pub workers: usize,
-    /// Racer-pool threads backing the portfolio (see
-    /// [`RacerPool`](crate::racer::RacerPool)). `0` degrades every
-    /// portfolio request to its inline FERTAC member (reported
-    /// incomplete, never cached).
-    pub racer_threads: usize,
     /// Bound of the job queue; beyond it, `try_submit` rejects.
     pub queue_depth: usize,
     /// Total solution-cache entries (0 disables caching).
     pub cache_capacity: usize,
     /// Cache shards (lock-contention granularity).
     pub cache_shards: usize,
-    /// Portfolio tuning, applied to every `Policy::Portfolio` request.
-    pub portfolio: PortfolioConfig,
     /// Chain-tier capacity: how many distinct chains keep their solved
     /// HeRAD DP table resident for solve-once serving across pool shapes
     /// (see [`ChainTier`]). `0` disables the tier.
@@ -121,16 +133,11 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let workers = thread::available_parallelism().map_or(4, usize::from);
         EngineConfig {
-            workers,
-            // Two racers per in-flight portfolio request; sized so every
-            // worker can have both of its racers running at once.
-            racer_threads: workers * 2,
+            workers: thread::available_parallelism().map_or(4, usize::from),
             queue_depth: 1024,
             cache_capacity: 4096,
             cache_shards: 16,
-            portfolio: PortfolioConfig::default(),
             chain_capacity: 64,
             snapshot_path: None,
             fault_wrap: None,
@@ -143,11 +150,9 @@ impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
             .field("workers", &self.workers)
-            .field("racer_threads", &self.racer_threads)
             .field("queue_depth", &self.queue_depth)
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_shards", &self.cache_shards)
-            .field("portfolio", &self.portfolio)
             .field("chain_capacity", &self.chain_capacity)
             .field("snapshot_path", &self.snapshot_path)
             .field("fault_wrap", &self.fault_wrap.is_some())
@@ -195,15 +200,13 @@ pub struct Engine {
     metrics: Arc<ServiceMetrics>,
     cache: Arc<SolutionCache>,
     tier: Arc<ChainTier>,
-    racers: Arc<RacerPool>,
 }
 
 impl Engine {
-    /// Starts the worker pool and the portfolio racer pool. When the
-    /// config names a snapshot path, the chain tier warm-restarts from it
-    /// first; a missing or invalid snapshot is counted
-    /// (`snapshot_rejected`) and the tier starts empty — start never
-    /// fails on snapshot problems.
+    /// Starts the worker pool. When the config names a snapshot path,
+    /// the chain tier warm-restarts from it first; a missing or invalid
+    /// snapshot is counted (`snapshot_rejected`) and the tier starts
+    /// empty — start never fails on snapshot problems.
     #[must_use]
     pub fn start(cfg: EngineConfig) -> Self {
         let (job_tx, job_rx) = channel::bounded::<Job>(cfg.queue_depth.max(1));
@@ -215,32 +218,22 @@ impl Engine {
             // snapshot_rejected counter, and an empty tier is always safe.
             let _ = tier.load_from(path);
         }
-        let racers = Arc::new(RacerPool::new(cfg.racer_threads, cfg.fault_wrap.clone()));
         let workers: Vec<JoinHandle<()>> = (0..cfg.workers)
             .filter_map(|i| {
                 let rx = job_rx.clone();
                 let worker_metrics = Arc::clone(&metrics);
                 let cache = Arc::clone(&cache);
                 let tier = Arc::clone(&tier);
-                let racers = Arc::clone(&racers);
-                let portfolio_cfg = cfg.portfolio;
+                let wrap = cfg.fault_wrap.clone();
                 let spawned = thread::Builder::new()
                     .name(format!("amp-service-worker-{i}"))
                     .spawn(move || {
-                        supervised_worker(
-                            &rx,
-                            &worker_metrics,
-                            &cache,
-                            &tier,
-                            &portfolio_cfg,
-                            &racers,
-                        );
+                        supervised_worker(&rx, &worker_metrics, &cache, &tier, wrap.as_ref());
                     });
                 match spawned {
                     Ok(handle) => Some(handle),
                     Err(_) => {
-                        // Same degradation policy as the racer pool: a
-                        // spawn failure shrinks the pool instead of
+                        // A spawn failure shrinks the pool instead of
                         // unwinding the constructor.
                         metrics.record_spawn_failure();
                         None
@@ -248,7 +241,7 @@ impl Engine {
                 }
             })
             .collect();
-        metrics.record_threads_spawned(workers.len() as u64 + racers.stats().threads_spawned);
+        metrics.record_threads_spawned(workers.len() as u64);
         Engine {
             job_tx: Mutex::new(Some(job_tx)),
             _job_rx: job_rx,
@@ -257,7 +250,6 @@ impl Engine {
             metrics,
             cache,
             tier,
-            racers,
         }
     }
 
@@ -387,16 +379,10 @@ impl Engine {
         })
     }
 
-    /// Point-in-time service metrics, including the racer-pool counters.
+    /// Point-in-time service metrics.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let racers = self.racers.stats();
-        snap.racer_panics = racers.panics;
-        snap.racer_invalid = racers.invalid;
-        snap.racer_cancelled = racers.cancelled;
-        snap.spawn_failures += racers.spawn_failures;
-        snap
+        self.metrics.snapshot()
     }
 
     /// Point-in-time cache counters (the exact-fingerprint LRU tier).
@@ -483,8 +469,6 @@ impl Engine {
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
-        // The racer pool (shared via Arc) tears itself down when the
-        // last reference drops — after the workers, by construction.
     }
 
     /// Closes the queue, drains every accepted request and joins the
@@ -540,13 +524,12 @@ fn supervised_worker(
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
+    wrap: Option<&StrategyWrap>,
 ) {
     metrics.record_worker_started();
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| {
-            worker_loop(rx, metrics, cache, tier, portfolio_cfg, racers);
+            worker_loop(rx, metrics, cache, tier, wrap);
         }));
         match run {
             Ok(()) => break,
@@ -561,8 +544,7 @@ fn worker_loop(
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
+    wrap: Option<&StrategyWrap>,
 ) {
     // One scratch arena per worker, reused across every request the
     // worker ever handles: steady-state scheduling allocates nothing.
@@ -590,16 +572,7 @@ fn worker_loop(
         }
         // Pass 2: the misses, one at a time on the worker's warm scratch.
         for (request, key) in misses {
-            let result = compute_guarded(
-                &request,
-                key,
-                metrics,
-                cache,
-                tier,
-                portfolio_cfg,
-                racers,
-                &mut scratch,
-            );
+            let result = compute_guarded(&request, key, metrics, cache, tier, wrap, &mut scratch);
             answer(request.id, result);
         }
     }
@@ -608,28 +581,17 @@ fn worker_loop(
 /// Runs one request's compute under panic isolation: an unwinding
 /// strategy (or any compute-path bug) still yields exactly one typed
 /// result, and the possibly half-written scratch is recycled.
-#[allow(clippy::too_many_arguments)]
 fn compute_guarded(
     request: &ScheduleRequest,
     key: CacheKey,
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
+    wrap: Option<&StrategyWrap>,
     scratch: &mut SchedScratch,
 ) -> Result<ScheduleOutcome, ServiceError> {
     catch_unwind(AssertUnwindSafe(|| {
-        compute(
-            request,
-            key,
-            metrics,
-            cache,
-            tier,
-            portfolio_cfg,
-            racers,
-            scratch,
-        )
+        compute(request, key, metrics, cache, tier, wrap, scratch)
     }))
     .unwrap_or_else(|panic| {
         metrics.record_worker_panic();
@@ -660,15 +622,13 @@ fn respond(
 
 /// Solves one validated exact-LRU miss (`key` is its cache key) and
 /// caches the outcome when it is complete.
-#[allow(clippy::too_many_arguments)]
 fn compute(
     request: &ScheduleRequest,
     key: CacheKey,
     metrics: &ServiceMetrics,
     cache: &SolutionCache,
     tier: &ChainTier,
-    portfolio_cfg: &PortfolioConfig,
-    racers: &RacerPool,
+    wrap: Option<&StrategyWrap>,
     scratch: &mut SchedScratch,
 ) -> Result<ScheduleOutcome, ServiceError> {
     let chain = request.chain();
@@ -690,15 +650,7 @@ fn compute(
         }
     };
     if !request.objective.is_period() {
-        let outcome = solve_energy(
-            request,
-            &chain,
-            resources,
-            metrics,
-            portfolio_cfg,
-            scratch,
-            &vet,
-        )?;
+        let outcome = solve_energy(request, &chain, resources, metrics, scratch, &vet)?;
         if outcome.complete {
             cache.insert(key, outcome.clone());
         }
@@ -708,7 +660,7 @@ fn compute(
         Policy::Strategy(name) => {
             let strategy = strategy_by_name(name)
                 .ok_or_else(|| ServiceError::UnknownStrategy { name: name.clone() })?;
-            let strategy = racers.wrapped(strategy);
+            let strategy = wrapped(wrap, strategy);
             let mut solution = Solution::empty();
             // HeRAD requests go through the chain tier: one solved DP
             // table per chain answers every pool shape by extraction
@@ -735,7 +687,7 @@ fn compute(
             let deadline = request
                 .deadline_us
                 .map(|us| Instant::now() + Duration::from_micros(us));
-            let out = portfolio::run(&chain, resources, deadline, portfolio_cfg, scratch, racers)
+            let out = portfolio::run(&chain, resources, deadline, scratch, wrap, metrics)
                 .ok_or(ServiceError::Infeasible)?;
             metrics.record_portfolio(out.complete);
             vet(out.strategy, &out.solution)?;
@@ -743,7 +695,7 @@ fn compute(
         }
     };
     // Only complete outcomes are sound to replay: a deadline-truncated
-    // (or racer-failure-truncated) portfolio answer may be improvable,
+    // (or member-failure-truncated) portfolio answer may be improvable,
     // and caching it would pin the worse solution for every later
     // identical request.
     if outcome.complete {
@@ -769,7 +721,6 @@ fn solve_energy(
     chain: &TaskChain,
     resources: Resources,
     metrics: &ServiceMetrics,
-    portfolio_cfg: &PortfolioConfig,
     scratch: &mut SchedScratch,
     vet: &dyn Fn(&str, &Solution) -> Result<(), ServiceError>,
 ) -> Result<ScheduleOutcome, ServiceError> {
@@ -794,9 +745,7 @@ fn solve_energy(
                 .map(|us| Instant::now() + Duration::from_micros(us));
             let members: [Box<dyn EnergyScheduler>; 3] = [
                 Box::new(EnergyFertac),
-                Box::new(EnergyTwocatac::with_node_budget(
-                    portfolio_cfg.twocatac_node_budget,
-                )),
+                Box::new(EnergyTwocatac::with_node_budget(TWOCATAC_NODE_BUDGET)),
                 Box::new(EnergyDp::new()),
             ];
             let last = members.len() - 1;
@@ -869,7 +818,6 @@ mod tests {
     fn engine(workers: usize) -> Engine {
         Engine::start(EngineConfig {
             workers,
-            racer_threads: 2,
             queue_depth: 64,
             cache_capacity: 128,
             cache_shards: 4,
@@ -950,7 +898,6 @@ mod tests {
         // No workers: accepted jobs stay queued, so the bound is exact.
         let e = Engine::start(EngineConfig {
             workers: 0,
-            racer_threads: 0,
             queue_depth: 2,
             cache_capacity: 0,
             cache_shards: 1,
@@ -972,7 +919,6 @@ mod tests {
     fn zero_worker_engine_rejects_instead_of_deadlocking() {
         let e = Engine::start(EngineConfig {
             workers: 0,
-            racer_threads: 0,
             queue_depth: 2,
             cache_capacity: 0,
             cache_shards: 1,
@@ -1103,7 +1049,6 @@ mod tests {
     fn batch_occupies_one_queue_slot_and_rejects_wholesale() {
         let e = Engine::start(EngineConfig {
             workers: 0,
-            racer_threads: 0,
             queue_depth: 1,
             cache_capacity: 0,
             cache_shards: 1,
@@ -1231,7 +1176,6 @@ mod tests {
         });
         let e = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 2,
             queue_depth: 8,
             cache_capacity: 16,
             cache_shards: 1,
@@ -1264,7 +1208,7 @@ mod tests {
         assert_eq!(m.responses, 2);
     }
 
-    /// The acceptance-criteria regression: a portfolio whose racer dies
+    /// The acceptance-criteria regression: a portfolio whose member dies
     /// reports `complete == false` and the outcome is NOT cached — a
     /// resubmission recomputes instead of replaying.
     #[test]
@@ -1283,7 +1227,7 @@ mod tests {
                 _: &mut SchedScratch,
                 _: &mut Solution,
             ) -> bool {
-                panic!("racer killed");
+                panic!("member killed");
             }
         }
         let wrap: StrategyWrap = Arc::new(|inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
@@ -1295,7 +1239,6 @@ mod tests {
         });
         let e = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 2,
             queue_depth: 8,
             cache_capacity: 16,
             cache_shards: 1,
@@ -1304,14 +1247,14 @@ mod tests {
         });
         let req = ScheduleRequest::from_chain(1, &chain(), Resources::new(2, 2), Policy::Portfolio);
         let first = e.schedule_blocking(req.clone()).result.expect("feasible");
-        assert!(!first.complete, "dead racer must clear complete");
+        assert!(!first.complete, "dead member must clear complete");
         let second = e
             .schedule_blocking(ScheduleRequest { id: 2, ..req })
             .result
             .expect("feasible");
         assert!(!second.cache_hit, "incomplete outcomes must not be cached");
         let m = e.metrics();
-        assert_eq!(m.racer_panics, 2, "one per (uncached) submission");
+        assert_eq!(m.member_panics, 2, "one per (uncached) submission");
         assert_eq!(m.portfolio_truncated, 2);
         assert_eq!(m.portfolio_complete, 0);
         assert_eq!(e.cache_stats().insertions, 0);
@@ -1354,7 +1297,6 @@ mod tests {
         });
         let e = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 0,
             queue_depth: 8,
             cache_capacity: 16,
             cache_shards: 1,
@@ -1384,7 +1326,6 @@ mod tests {
         let tiered = engine(1);
         let tierless = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 0,
             queue_depth: 64,
             cache_capacity: 0,
             chain_capacity: 0,
@@ -1481,7 +1422,6 @@ mod tests {
 
         let warm = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 0,
             queue_depth: 64,
             cache_capacity: 0,
             snapshot_path: Some(path.clone()),
@@ -1505,7 +1445,6 @@ mod tests {
         std::fs::write(&path, b"{\"kind\":\"amp-chain-tier-snapshot\",").unwrap();
         let sour = Engine::start(EngineConfig {
             workers: 1,
-            racer_threads: 0,
             queue_depth: 8,
             snapshot_path: Some(path.clone()),
             ..EngineConfig::default()

@@ -6,7 +6,7 @@
 //! resource pool, a strategy [`Policy`] and an optional deadline — over
 //! bounded channels and receive exactly one [`ScheduleResponse`] each.
 //!
-//! The service layers five mechanisms on top of the core algorithms:
+//! The service layers six mechanisms on top of the core algorithms:
 //!
 //! * **[`cache`]** — a sharded LRU keyed by the instance's canonical
 //!   fingerprint (weights, replicability mask, resource pool, policy), so
@@ -15,15 +15,13 @@
 //!   DP table per distinct chain answers *every* pool shape by pure
 //!   extraction (growing in place when a larger pool arrives), with
 //!   snapshot persistence for warm restarts;
-//! * **[`portfolio`]** — a deadline-bounded strategy portfolio: FERTAC
-//!   inline for an instant feasible answer, HeRAD and a node-budgeted
-//!   2CATAC raced on the persistent racer pool, best period (ties:
-//!   fewest big cores, then fewest cores — the paper's secondary
-//!   objective) wins; only runs where every member reported are marked
-//!   `complete` and thus cacheable;
-//! * **[`racer`]** — a persistent, bounded pool of racer threads with
-//!   cooperative per-request cancellation, panic containment and
-//!   racer-side solution validation (no per-request `thread::spawn`);
+//! * **[`portfolio`]** — a deadline-bounded strategy portfolio run as an
+//!   anytime ladder on the worker's own thread and scratch: FERTAC for an
+//!   instant feasible answer, then HeRAD, then a node-budgeted 2CATAC,
+//!   each panic-contained and vetted; best period (ties: fewest big
+//!   cores, then fewest cores — the paper's secondary objective, then
+//!   the earlier member) wins; only runs where every member ran cleanly
+//!   are marked `complete` and thus cacheable;
 //! * **[`engine`]** — a crossbeam worker pool with a bounded job queue,
 //!   explicit [`ServiceError::Overloaded`] backpressure, per-request
 //!   panic isolation (a panicking strategy becomes a typed
@@ -65,17 +63,15 @@ pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod portfolio;
-pub mod racer;
 pub mod request;
 pub mod shards;
 
 pub use cache::{CacheKey, CacheStats, SolutionCache};
 pub use chain_tier::{ChainTier, ChainTierStats, SnapshotError, TierFaultHook, TierServe};
-pub use engine::{Engine, EngineConfig, RejectedBatch};
+pub use engine::{Engine, EngineConfig, RejectedBatch, StrategyWrap};
 pub use error::ServiceError;
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
-pub use portfolio::{PortfolioConfig, PortfolioOutcome};
-pub use racer::{solution_is_sound, RacerPool, RacerPoolStats, StrategyWrap};
+pub use portfolio::{solution_is_sound, PortfolioOutcome};
 pub use request::{
     format_period, parse_period, Objective, Policy, ScheduleOutcome, ScheduleRequest,
     ScheduleResponse, TaskSpec,

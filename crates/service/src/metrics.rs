@@ -35,6 +35,11 @@ pub struct ServiceMetrics {
     worker_panics: AtomicU64,
     /// Solutions rejected by the engine's validate-before-cache vet.
     invalid_solutions: AtomicU64,
+    /// Panics caught inside a period-portfolio member (the ladder went
+    /// on without it).
+    member_panics: AtomicU64,
+    /// Period-portfolio member solutions rejected as unsound.
+    member_invalid: AtomicU64,
     /// Energy-objective requests served with a solution.
     energy_requests: AtomicU64,
     /// Sum of the steady-state power figures served on those responses,
@@ -43,10 +48,10 @@ pub struct ServiceMetrics {
     energy_milliwatts_served: AtomicU64,
     /// Worker threads currently in their serve loop.
     workers_alive: AtomicU64,
-    /// Worker/racer threads the engine failed to spawn (pool degraded).
+    /// Worker threads the engine failed to spawn (pool degraded).
     spawn_failures: AtomicU64,
-    /// OS threads created over the engine's lifetime (workers + racers).
-    /// Constant after startup: steady-state requests spawn nothing.
+    /// Worker threads created over the engine's lifetime. Constant
+    /// after startup: steady-state requests spawn nothing.
     threads_spawned: AtomicU64,
     /// End-to-end latency histogram (enqueue → response), ns buckets.
     latency: [AtomicU64; BUCKETS],
@@ -65,6 +70,8 @@ impl ServiceMetrics {
             portfolio_truncated: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             invalid_solutions: AtomicU64::new(0),
+            member_panics: AtomicU64::new(0),
+            member_invalid: AtomicU64::new(0),
             energy_requests: AtomicU64::new(0),
             energy_milliwatts_served: AtomicU64::new(0),
             workers_alive: AtomicU64::new(0),
@@ -126,6 +133,16 @@ impl ServiceMetrics {
         self.invalid_solutions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts a panic caught inside a period-portfolio member.
+    pub fn record_member_panic(&self) {
+        self.member_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a period-portfolio member solution rejected as unsound.
+    pub fn record_member_invalid(&self) {
+        self.member_invalid.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counts an energy-objective request served with a solution drawing
     /// `milliwatts` of steady-state power.
     pub fn record_energy(&self, milliwatts: u64) {
@@ -176,9 +193,8 @@ impl ServiceMetrics {
             workers_alive: self.workers_alive.load(Ordering::Relaxed),
             spawn_failures: self.spawn_failures.load(Ordering::Relaxed),
             threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            racer_panics: 0,
-            racer_invalid: 0,
-            racer_cancelled: 0,
+            member_panics: self.member_panics.load(Ordering::Relaxed),
+            member_invalid: self.member_invalid.load(Ordering::Relaxed),
             latency,
         }
     }
@@ -217,20 +233,14 @@ pub struct MetricsSnapshot {
     pub energy_milliwatts_served: u64,
     /// Worker threads currently serving.
     pub workers_alive: u64,
-    /// Failed thread spawns (worker or racer pool degraded).
+    /// Failed worker-thread spawns (pool degraded).
     pub spawn_failures: u64,
-    /// OS threads created over the engine's lifetime.
+    /// Worker threads created over the engine's lifetime.
     pub threads_spawned: u64,
-    /// Panics caught inside portfolio racer threads.
-    /// ([`Engine::metrics`](crate::Engine::metrics) fills this from the
-    /// racer pool; a bare [`ServiceMetrics::snapshot`] leaves it 0.)
-    pub racer_panics: u64,
-    /// Racer solutions rejected as invalid before reporting (same
-    /// sourcing as `racer_panics`).
-    pub racer_invalid: u64,
-    /// Racer jobs skipped because their request was already answered
-    /// (same sourcing as `racer_panics`).
-    pub racer_cancelled: u64,
+    /// Panics caught inside period-portfolio members.
+    pub member_panics: u64,
+    /// Period-portfolio member solutions rejected as unsound.
+    pub member_invalid: u64,
     /// Latency histogram; bucket `i` counts latencies in the disjoint
     /// range `[2^(i-1), 2^i)` ns (bucket 0: below 1 ns; bucket 63 also
     /// absorbs everything at or above `2^63` ns).
@@ -257,9 +267,8 @@ impl MetricsSnapshot {
         self.workers_alive += other.workers_alive;
         self.spawn_failures += other.spawn_failures;
         self.threads_spawned += other.threads_spawned;
-        self.racer_panics += other.racer_panics;
-        self.racer_invalid += other.racer_invalid;
-        self.racer_cancelled += other.racer_cancelled;
+        self.member_panics += other.member_panics;
+        self.member_invalid += other.member_invalid;
         for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
             *mine += theirs;
         }
@@ -311,9 +320,8 @@ impl MetricsSnapshot {
         field(&mut s, "workers_alive", self.workers_alive);
         field(&mut s, "spawn_failures", self.spawn_failures);
         field(&mut s, "threads_spawned", self.threads_spawned);
-        field(&mut s, "racer_panics", self.racer_panics);
-        field(&mut s, "racer_invalid", self.racer_invalid);
-        field(&mut s, "racer_cancelled", self.racer_cancelled);
+        field(&mut s, "member_panics", self.member_panics);
+        field(&mut s, "member_invalid", self.member_invalid);
         field(&mut s, "energy_requests", self.energy_requests);
         field(
             &mut s,
@@ -374,7 +382,7 @@ mod tests {
         let json = m.snapshot().to_json();
         assert!(json.starts_with("{\"requests\":1,\"responses\":1,"));
         assert!(json.contains("\"worker_panics\":0"));
-        assert!(json.contains("\"racer_panics\":0"));
+        assert!(json.contains("\"member_panics\":0"));
         assert!(json.contains("\"latency_p99_ns\":"));
         assert!(json.ends_with('}'));
         assert_eq!(json.matches('{').count(), 1);
@@ -410,6 +418,9 @@ mod tests {
         m.record_worker_started();
         m.record_worker_panic();
         m.record_invalid_solution();
+        m.record_member_panic();
+        m.record_member_invalid();
+        m.record_member_invalid();
         m.record_spawn_failure();
         m.record_threads_spawned(6);
         m.record_worker_stopped();
@@ -419,10 +430,6 @@ mod tests {
         assert_eq!(s.workers_alive, 1);
         assert_eq!(s.spawn_failures, 1);
         assert_eq!(s.threads_spawned, 6);
-        // Racer counters are merged in by `Engine::metrics`, not here.
-        assert_eq!(
-            (s.racer_panics, s.racer_invalid, s.racer_cancelled),
-            (0, 0, 0)
-        );
+        assert_eq!((s.member_panics, s.member_invalid), (1, 2));
     }
 }

@@ -1,66 +1,53 @@
 //! Deadline-bounded strategy portfolio.
 //!
-//! One request, three strategies, bounded wall-clock: FERTAC runs
-//! immediately on the calling thread (microseconds, always finishes),
-//! while HeRAD (optimal but `O(n²·b·l)` DP) and a node-budgeted 2CATAC
-//! race on the engine's persistent [`RacerPool`]. The portfolio then
-//! collects racer reports until the deadline and returns the best
-//! solution seen:
+//! One request, three strategies, run as an anytime ladder inline on the
+//! calling worker's own [`SchedScratch`]: FERTAC first (microseconds,
+//! always runs), then HeRAD (optimal but `O(n²·b·l)` DP), then a
+//! node-budgeted 2CATAC. The ladder keeps the best solution seen:
 //!
 //! * primary objective — smallest period (the paper's throughput goal);
 //! * secondary objective — fewest big cores, then fewest cores overall
-//!   (the paper's power proxy, read off [`Solution::used_cores`]).
+//!   (the paper's power proxy, read off [`Solution::used_cores`]);
+//! * exact ties keep the incumbent, so the winner is a pure function of
+//!   the request.
 //!
-//! With no deadline the portfolio waits for every racer, so its period
-//! equals HeRAD's optimum. With a deadline that already passed it still
-//! returns the inline FERTAC solution — a valid schedule, never an error,
-//! merely possibly improvable.
+//! The deadline is checked before each member after FERTAC: later
+//! members only start while time remains, exactly the energy
+//! objective's rule. A member that has started runs to completion, so
+//! an answer can arrive up to one member's solve after the deadline.
+//! With no deadline every member runs and the period equals HeRAD's
+//! optimum. With a deadline that already passed the ladder still returns
+//! the FERTAC solution — a valid schedule, never an error, merely
+//! possibly improvable.
+//!
+//! Each member runs under [`catch_unwind`] and its solution is vetted
+//! with [`solution_is_sound`] before it may win. A panicking member
+//! (counted in `member_panics`; the scratch is replaced, since a
+//! half-written DP table is not trustworthy) or an unsound one (counted
+//! in `member_invalid`) is skipped and the ladder goes on.
 //!
 //! ## The `complete` flag, precisely
 //!
 //! `complete` is a *cacheability certificate*: it is `true` only when
-//! both racers were submitted, ran, and reported a usable verdict
-//! (solution or infeasible) before the deadline. Anything less — a
-//! deadline hit, a racer that panicked, an invalid racer solution, a
-//! full racer queue, a degraded (even empty) pool — clears it, because
-//! the result can no longer be proven HeRAD-optimal and caching it would
-//! replay a possibly-improvable answer bit-identical to every later
-//! identical request. In particular a racer that *dies without
-//! reporting* (channel disconnect with reports still missing) clears the
-//! flag: an earlier version left `complete == true` on that path and
-//! poisoned the cache.
-//!
-//! Racer execution is pooled, isolated and cancellable — see
-//! [`racer`](crate::racer) for the thread-lifecycle design.
+//! all three members ran and none failed. Anything less — a deadline
+//! hit, a panicking member, an unsound member solution — clears it,
+//! because the result can no longer be proven HeRAD-optimal and caching
+//! it would replay a possibly-improvable answer bit-identical to every
+//! later identical request.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use amp_core::sched::{Fertac, Herad, SchedScratch, Scheduler, Twocatac};
 use amp_core::{Ratio, Resources, Solution, TaskChain};
-use crossbeam::channel;
 
-use crate::racer::{self, RacerJob, RacerPool, RacerResult};
+use crate::engine::{wrapped, StrategyWrap};
+use crate::metrics::ServiceMetrics;
 
-/// Tuning knobs of the portfolio.
-#[derive(Clone, Copy, Debug)]
-pub struct PortfolioConfig {
-    /// Node budget handed to [`Twocatac::with_node_budget`]; bounds the
-    /// two-choice search tree so the racer cannot go exponential.
-    pub twocatac_node_budget: u64,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            twocatac_node_budget: 200_000,
-        }
-    }
-}
-
-/// Number of racing strategies a portfolio run submits to the pool.
-pub const N_RACERS: usize = 2;
+/// Node budget handed to [`Twocatac::with_node_budget`] by both
+/// portfolios (period and energy); bounds the two-choice search tree so
+/// the member cannot go exponential.
+pub const TWOCATAC_NODE_BUDGET: u64 = 200_000;
 
 /// The winning result of one portfolio run.
 #[derive(Clone, Debug)]
@@ -71,9 +58,21 @@ pub struct PortfolioOutcome {
     pub solution: Solution,
     /// Its period on the request chain.
     pub period: Ratio,
-    /// `true` when every member reported a usable verdict in time; the
-    /// cacheability certificate (see the module docs).
+    /// `true` when every member ran and none failed; the cacheability
+    /// certificate (see the module docs).
     pub complete: bool,
+}
+
+/// `true` when `solution` is structurally valid for `chain` and fits in
+/// `resources` — the vetting every portfolio member (and the engine, as
+/// defense-in-depth before a cache insert) applies.
+#[must_use]
+pub fn solution_is_sound(solution: &Solution, chain: &TaskChain, resources: Resources) -> bool {
+    if solution.validate(chain).is_err() {
+        return false;
+    }
+    let used = solution.used_cores();
+    used.big <= resources.big && used.little <= resources.little
 }
 
 /// `true` when `(candidate)` beats `(incumbent)` under the paper's
@@ -89,143 +88,75 @@ fn beats(cand_period: Ratio, cand: &Solution, inc_period: Ratio, inc: &Solution)
     c.total() < i.total()
 }
 
-/// Flips the request's cancellation flag when dropped, so queued racer
-/// jobs are skipped whether the collector returns normally, times out,
-/// or unwinds out of this function entirely (e.g. an injected panic in
-/// the inline member).
-struct CancelOnDrop(Arc<AtomicBool>);
-
-impl Drop for CancelOnDrop {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Runs the portfolio for one instance. `deadline` bounds how long the
-/// caller waits for the racing strategies; `None` waits for all of them.
-/// `scratch` backs the inline FERTAC solve, so a worker that keeps its
-/// scratch across requests pays no allocation for the guaranteed member;
-/// the racers reuse the pool threads' own arenas. Steady state spawns no
-/// OS threads. Returns `None` only when *no* member (FERTAC included)
-/// found a valid mapping — e.g. an empty chain or a zero-core pool.
+/// Runs the portfolio ladder for one instance on the caller's `scratch`.
+/// `deadline` gates the start of every member after FERTAC; `None` runs
+/// them all. `wrap` is the fault-injection seam applied to each member,
+/// and member failures are counted in `metrics`. Returns `None` only
+/// when *no* member found a valid mapping — e.g. an empty chain or a
+/// zero-core pool.
 #[must_use]
 pub fn run(
     chain: &TaskChain,
     resources: Resources,
     deadline: Option<Instant>,
-    cfg: &PortfolioConfig,
     scratch: &mut SchedScratch,
-    pool: &RacerPool,
+    wrap: Option<&StrategyWrap>,
+    metrics: &ServiceMetrics,
 ) -> Option<PortfolioOutcome> {
-    let (tx, rx) = channel::bounded(N_RACERS);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let _cancel_guard = CancelOnDrop(Arc::clone(&cancel));
-    let generation = pool.next_generation();
-    let racers: [Box<dyn Scheduler>; N_RACERS] = [
+    let members: [Box<dyn Scheduler>; 3] = [
+        Box::new(Fertac),
         Box::new(Herad::new()),
-        Box::new(Twocatac::with_node_budget(cfg.twocatac_node_budget)),
+        Box::new(Twocatac::with_node_budget(TWOCATAC_NODE_BUDGET)),
     ];
-    let mut submitted = 0usize;
-    for strategy in racers {
-        let accepted = pool.try_submit(RacerJob {
-            strategy: pool.wrapped(strategy),
-            chain: chain.clone(),
-            resources,
-            generation,
-            cancel: Arc::clone(&cancel),
-            reply: tx.clone(),
-        });
-        if accepted {
-            submitted += 1;
+    let mut best: Option<PortfolioOutcome> = None;
+    let mut complete = true;
+    for (i, member) in members.into_iter().enumerate() {
+        if i > 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+            complete = false;
+            break;
         }
-    }
-    drop(tx);
-
-    // A racer the pool could not take (no live threads, full queue) is a
-    // member that will never report: the outcome cannot be complete.
-    let mut complete = submitted == N_RACERS;
-
-    // Vet the inline member before *anything* derives from its stages —
-    // an invalid FERTAC solution (possible only through fault injection
-    // or a real scheduler bug) must neither win nor certify
-    // completeness, and computing a period from out-of-range stages
-    // would panic.
-    let fertac = pool.wrapped(Box::new(Fertac));
-    let mut fertac_out = Solution::empty();
-    let mut best: Option<(&'static str, Solution, Ratio)> =
-        if fertac.schedule_into(chain, resources, scratch, &mut fertac_out) {
-            if racer::solution_is_sound(&fertac_out, chain, resources) {
-                let period = fertac_out.period(chain);
-                Some((fertac.name(), fertac_out, period))
-            } else {
-                pool.record_inline_invalid();
-                complete = false;
-                None
-            }
-        } else {
-            None
-        };
-
-    let mut received = 0;
-    while received < submitted {
-        let msg = match deadline {
-            Some(d) => rx.recv_deadline(d),
-            None => rx
-                .recv()
-                .map_err(|_| channel::RecvTimeoutError::Disconnected),
-        };
-        match msg {
-            Ok(report) => {
-                received += 1;
-                match report.result {
-                    RacerResult::Solved(solution) => {
-                        let period = solution.period(chain);
-                        let better = match &best {
-                            Some((_, inc, inc_period)) => {
-                                beats(period, &solution, *inc_period, inc)
-                            }
-                            None => true,
-                        };
-                        if better {
-                            best = Some((report.name, solution, period));
-                        }
-                    }
-                    RacerResult::Infeasible => {}
-                    // A panicked or invalid racer reported, but nothing
-                    // usable: the result cannot be proven optimal.
-                    RacerResult::Failed => complete = false,
+        let member = wrapped(wrap, member);
+        let mut solution = Solution::empty();
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            member.schedule_into(chain, resources, scratch, &mut solution)
+        }));
+        match solved {
+            Ok(false) => {}
+            // Vet before anything derives from the stages: computing a
+            // period from out-of-range stages would panic.
+            Ok(true) if solution_is_sound(&solution, chain, resources) => {
+                let period = solution.period(chain);
+                if best
+                    .as_ref()
+                    .is_none_or(|inc| beats(period, &solution, inc.period, &inc.solution))
+                {
+                    best = Some(PortfolioOutcome {
+                        strategy: member.name(),
+                        solution,
+                        period,
+                        complete: false,
+                    });
                 }
             }
-            Err(channel::RecvTimeoutError::Timeout) => {
+            Ok(true) => {
+                metrics.record_member_invalid();
                 complete = false;
-                break;
             }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                // Every sender is gone. If reports are still missing, a
-                // racer died (or was skipped) without reporting — the
-                // outcome is NOT complete. Leaving `complete` untouched
-                // here was the cache-poisoning bug this module fixes.
-                if received < submitted {
-                    complete = false;
-                }
-                break;
+            Err(_) => {
+                metrics.record_member_panic();
+                *scratch = SchedScratch::new();
+                complete = false;
             }
         }
     }
-
-    best.map(|(strategy, solution, period)| PortfolioOutcome {
-        strategy,
-        solution,
-        period,
-        complete,
-    })
+    best.map(|out| PortfolioOutcome { complete, ..out })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::racer::StrategyWrap;
     use amp_core::{CoreType, Stage, Task};
+    use std::sync::Arc;
 
     fn chain() -> TaskChain {
         TaskChain::new(vec![
@@ -236,49 +167,86 @@ mod tests {
         ])
     }
 
-    /// A wrap that panics inside the named strategy and passes every
-    /// other one through untouched.
-    fn panic_in(name: &'static str) -> StrategyWrap {
-        struct Bomb {
-            inner: Box<dyn Scheduler>,
-        }
-        impl Scheduler for Bomb {
-            fn name(&self) -> &'static str {
-                self.inner.name()
-            }
-            fn schedule_into(
-                &self,
-                _: &TaskChain,
-                _: Resources,
-                _: &mut SchedScratch,
-                _: &mut Solution,
-            ) -> bool {
-                panic!("injected panic in {}", self.inner.name());
-            }
-        }
+    fn run_with(
+        resources: Resources,
+        deadline: Option<Instant>,
+        wrap: Option<&StrategyWrap>,
+        metrics: &ServiceMetrics,
+    ) -> Option<PortfolioOutcome> {
+        run(
+            &chain(),
+            resources,
+            deadline,
+            &mut SchedScratch::new(),
+            wrap,
+            metrics,
+        )
+    }
+
+    /// A wrap that replaces the named strategy with `fault` and passes
+    /// every other one through untouched.
+    fn fault_in(
+        name: &'static str,
+        fault: fn(Box<dyn Scheduler>) -> Box<dyn Scheduler>,
+    ) -> StrategyWrap {
         Arc::new(move |inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
             if inner.name() == name {
-                Box::new(Bomb { inner })
+                fault(inner)
             } else {
                 inner
             }
         })
     }
 
+    /// Panics inside the wrapped strategy.
+    struct Bomb(Box<dyn Scheduler>);
+    impl Scheduler for Bomb {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn schedule_into(
+            &self,
+            _: &TaskChain,
+            _: Resources,
+            _: &mut SchedScratch,
+            _: &mut Solution,
+        ) -> bool {
+            panic!("injected panic in {}", self.0.name());
+        }
+    }
+
+    /// Claims success with a structurally invalid solution.
+    struct Liar(Box<dyn Scheduler>);
+    impl Scheduler for Liar {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn schedule_into(
+            &self,
+            chain: &TaskChain,
+            _: Resources,
+            _: &mut SchedScratch,
+            out: &mut Solution,
+        ) -> bool {
+            // Stage end == chain.len() is out of range: InvalidEnd.
+            *out = Solution::new(vec![Stage::new(0, chain.len(), 1, CoreType::Big)]);
+            true
+        }
+    }
+
+    fn panic_in(name: &'static str) -> StrategyWrap {
+        fault_in(name, |inner| Box::new(Bomb(inner)))
+    }
+
+    fn lie_in(name: &'static str) -> StrategyWrap {
+        fault_in(name, |inner| Box::new(Liar(inner)))
+    }
+
     #[test]
     fn unlimited_deadline_matches_herad_optimum() {
         let c = chain();
         let res = Resources::new(2, 2);
-        let pool = RacerPool::new(2, None);
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("feasible");
+        let out = run_with(res, None, None, &ServiceMetrics::new()).expect("feasible");
         let opt = Herad::new().optimal_period(&c, res).expect("feasible");
         assert_eq!(out.period, opt);
         assert!(out.complete);
@@ -290,153 +258,123 @@ mod tests {
     fn expired_deadline_still_returns_a_valid_solution() {
         let c = chain();
         let res = Resources::new(2, 2);
-        let pool = RacerPool::new(2, None);
-        let deadline = Instant::now(); // already passed once we wait
-        let out = run(
-            &c,
-            res,
-            Some(deadline),
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("FERTAC always reports");
+        // Already passed by the time the ladder checks it.
+        let out = run_with(res, Some(Instant::now()), None, &ServiceMetrics::new())
+            .expect("FERTAC always runs");
+        assert!(!out.complete, "no member after FERTAC may start");
+        assert_eq!(out.strategy, "FERTAC");
         assert!(out.solution.validate(&c).is_ok());
         assert!(out.solution.is_valid(&c, res, out.period));
-        // FERTAC's period bounds the result from above even if a racer
-        // happened to slip in before the deadline check.
         let fertac = Fertac.schedule(&c, res).unwrap();
-        assert!(out.period <= fertac.period(&c));
+        assert_eq!(out.period, fertac.period(&c));
     }
 
     #[test]
     fn infeasible_instance_returns_none() {
-        let pool = RacerPool::new(2, None);
-        assert!(run(
-            &chain(),
-            Resources::new(0, 0),
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .is_none());
+        assert!(run_with(Resources::new(0, 0), None, None, &ServiceMetrics::new()).is_none());
     }
 
-    /// The headline regression: a racer that panics (dies without a
-    /// usable report) must clear `complete`, with or without a deadline.
-    /// Before the fix, the disconnect path returned `complete == true`
-    /// and the engine cached the FERTAC answer as HeRAD-optimal.
+    /// The headline regression: a member that panics must clear
+    /// `complete`, so the engine never caches the answer as
+    /// HeRAD-optimal.
     #[test]
     fn dead_racer_clears_the_complete_flag() {
         let c = chain();
-        let res = Resources::new(2, 2);
-        let pool = RacerPool::new(2, Some(panic_in("HeRAD")));
-        let out = run(
-            &c,
-            res,
+        let metrics = ServiceMetrics::new();
+        let out = run_with(
+            Resources::new(2, 2),
             None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
+            Some(&panic_in("HeRAD")),
+            &metrics,
         )
         .expect("FERTAC and 2CATAC still answer");
         assert!(
             !out.complete,
-            "a panicked racer must not certify completeness"
+            "a panicked member must not certify completeness"
         );
+        assert_ne!(out.strategy, "HeRAD");
         assert!(out.solution.validate(&c).is_ok());
-        assert_eq!(pool.stats().panics, 1);
+        assert_eq!(metrics.snapshot().member_panics, 1);
     }
 
-    /// Satellite regression: the doc promise "an expired deadline still
-    /// returns the inline FERTAC solution — never an error" holds even
-    /// when a racer panics before FERTAC's result is collected.
+    /// An expired deadline still returns the FERTAC solution — never an
+    /// error — even with a member that would panic.
     #[test]
     fn expired_deadline_with_panicking_racer_still_answers() {
         let c = chain();
         let res = Resources::new(2, 2);
-        let pool = RacerPool::new(2, Some(panic_in("HeRAD")));
-        let out = run(
-            &c,
+        let metrics = ServiceMetrics::new();
+        let out = run_with(
             res,
             Some(Instant::now()),
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
+            Some(&panic_in("HeRAD")),
+            &metrics,
         )
         .expect("never an error on an expired deadline");
         assert!(!out.complete);
         assert!(out.solution.validate(&c).is_ok());
         assert!(out.solution.is_valid(&c, res, out.period));
+        assert_eq!(metrics.snapshot().member_panics, 0, "HeRAD never started");
     }
 
-    /// A degraded (zero-thread) pool serves FERTAC-only and reports the
-    /// outcome incomplete, so it is never cached as optimal.
+    /// A panicking first member is contained and counted, the scratch it
+    /// may have half-written is replaced, and the later members answer.
     #[test]
-    fn zero_thread_pool_degrades_to_fertac_only() {
+    fn panicking_member_is_contained_and_counted() {
         let c = chain();
         let res = Resources::new(2, 2);
-        let pool = RacerPool::new(0, None);
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("inline FERTAC still answers");
-        assert_eq!(out.strategy, "FERTAC");
+        let metrics = ServiceMetrics::new();
+        let mut scratch = SchedScratch::new();
+        let wrap = panic_in("FERTAC");
+        let out = run(&c, res, None, &mut scratch, Some(&wrap), &metrics)
+            .expect("HeRAD and 2CATAC still answer");
         assert!(!out.complete);
-        let fertac = Fertac.schedule(&c, res).unwrap();
-        assert_eq!(out.period, fertac.period(&c));
+        assert_eq!(out.period, Herad::new().optimal_period(&c, res).unwrap());
+        assert_eq!(metrics.snapshot().member_panics, 1);
+        // The same scratch keeps serving after the panic.
+        let again = run(&c, res, None, &mut scratch, None, &metrics).expect("feasible");
+        assert!(again.complete);
+        assert_eq!(metrics.snapshot().member_panics, 1);
     }
 
-    /// An invalid racer solution is discarded (never wins) and clears
-    /// completeness.
+    /// An unsound member solution is discarded (never wins), counted,
+    /// and clears completeness.
     #[test]
     fn invalid_racer_solution_is_discarded() {
-        struct Liar {
-            inner: Box<dyn Scheduler>,
-        }
-        impl Scheduler for Liar {
-            fn name(&self) -> &'static str {
-                self.inner.name()
-            }
-            fn schedule_into(
-                &self,
-                chain: &TaskChain,
-                _: Resources,
-                _: &mut SchedScratch,
-                out: &mut Solution,
-            ) -> bool {
-                *out = Solution::new(vec![Stage::new(0, chain.len(), 1, CoreType::Big)]);
-                true
-            }
-        }
-        let wrap: StrategyWrap = Arc::new(|inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
-            if inner.name() == "HeRAD" {
-                Box::new(Liar { inner })
-            } else {
-                inner
-            }
-        });
         let c = chain();
-        let res = Resources::new(2, 2);
-        let pool = RacerPool::new(2, Some(wrap));
-        let out = run(
-            &c,
-            res,
-            None,
-            &PortfolioConfig::default(),
-            &mut SchedScratch::new(),
-            &pool,
-        )
-        .expect("other members answer");
+        let metrics = ServiceMetrics::new();
+        let out = run_with(Resources::new(2, 2), None, Some(&lie_in("HeRAD")), &metrics)
+            .expect("other members answer");
         assert!(!out.complete);
         assert!(out.solution.validate(&c).is_ok());
-        assert_eq!(pool.stats().invalid, 1);
+        assert_eq!(metrics.snapshot().member_invalid, 1);
+    }
+
+    /// Every member lying leaves nothing to serve: the run reports
+    /// infeasible rather than letting an unsound solution through.
+    #[test]
+    fn invalid_solutions_are_rejected_before_winning() {
+        let metrics = ServiceMetrics::new();
+        let liar: StrategyWrap = Arc::new(|inner| Box::new(Liar(inner)));
+        assert!(run_with(Resources::new(2, 2), None, Some(&liar), &metrics).is_none());
+        assert_eq!(metrics.snapshot().member_invalid, 3);
+    }
+
+    /// One worker scratch serves repeated runs (warm, parked HeRAD table)
+    /// with the same answer every time.
+    #[test]
+    fn repeated_runs_on_one_scratch_agree() {
+        let c = chain();
+        let res = Resources::new(2, 2);
+        let metrics = ServiceMetrics::new();
+        let mut scratch = SchedScratch::new();
+        let first = run(&c, res, None, &mut scratch, None, &metrics).expect("feasible");
+        for _ in 0..3 {
+            let again = run(&c, res, None, &mut scratch, None, &metrics).expect("feasible");
+            assert_eq!(again.strategy, first.strategy);
+            assert_eq!(again.solution, first.solution);
+            assert!(again.complete);
+        }
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub enum Policy {
     /// Run exactly one named strategy (a Table I display name accepted by
     /// [`amp_core::sched::strategy_by_name`]).
     Strategy(String),
-    /// Run the deadline-bounded portfolio: FERTAC immediately, HeRAD and
-    /// a budgeted 2CATAC raced on worker threads, best result wins.
+    /// Run the deadline-bounded portfolio: FERTAC, then HeRAD, then a
+    /// budgeted 2CATAC, inline on the worker; best result wins.
     Portfolio,
 }
 
@@ -113,9 +113,11 @@ pub struct ScheduleRequest {
     pub policy: Policy,
     /// What to optimize; [`Objective::Period`] unless the client opts in.
     pub objective: Objective,
-    /// Optional deadline, in microseconds, for the *compute* phase.
-    /// `None` means wait for every portfolio member. Only the portfolio
-    /// is deadline-bounded; single strategies always run to completion.
+    /// Optional deadline, in microseconds, for the *compute* phase: later
+    /// portfolio members start only while time remains, and a started
+    /// member runs to completion. `None` runs every portfolio member.
+    /// Only the portfolio is deadline-bounded; single strategies always
+    /// run to completion.
     pub deadline_us: Option<u64>,
 }
 
@@ -216,7 +218,7 @@ pub struct ScheduleOutcome {
     pub used_little: u64,
     /// `true` when the solution was served from the cache.
     pub cache_hit: bool,
-    /// `true` when every portfolio member finished before the deadline
+    /// `true` when every portfolio member ran cleanly before the deadline
     /// (always `true` for single-strategy requests). Incomplete outcomes
     /// are valid but possibly improvable, and are never cached.
     pub complete: bool,

@@ -1,6 +1,6 @@
 //! Horizontal sharding of the scheduling engine: N independent
-//! [`Engine`]s — each with its own bounded queue, worker pool, racer
-//! pool, solution cache and chain tier — behind one router keyed by the
+//! [`Engine`]s — each with its own bounded queue, worker pool, solution
+//! cache and chain tier — behind one router keyed by the
 //! request's *pool-free* chain fingerprint.
 //!
 //! ## Why shard by chain fingerprint (and not round-robin)
@@ -353,7 +353,6 @@ mod tests {
             shards,
             &EngineConfig {
                 workers,
-                racer_threads: 0,
                 queue_depth,
                 cache_capacity: 64,
                 cache_shards: 4,

@@ -21,8 +21,7 @@ use std::sync::Arc;
 use amp_core::sched::{SchedScratch, Scheduler};
 use amp_core::{Resources, Solution, Task, TaskChain};
 use amp_service::{
-    Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest, ServiceError, StrategyWrap,
-    TierFaultHook,
+    Engine, EngineConfig, Policy, ScheduleRequest, ServiceError, StrategyWrap, TierFaultHook,
 };
 use crossbeam::channel;
 
@@ -93,11 +92,9 @@ fn chain_for(seed: u64) -> TaskChain {
 fn chaos_engine(workers: usize, wrap: StrategyWrap) -> Engine {
     Engine::start(EngineConfig {
         workers,
-        racer_threads: workers * 2,
         queue_depth: 256,
         cache_capacity: 512,
         cache_shards: 4,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: Some(wrap),
         ..EngineConfig::default()
     })
@@ -164,7 +161,7 @@ fn chaos_run_loses_no_requests_and_restores_the_pool() {
         "chaos actually ran"
     );
     assert!(
-        m.worker_panics + m.racer_panics > 0,
+        m.worker_panics + m.member_panics > 0,
         "at least one fault must have fired"
     );
     assert_eq!(
@@ -174,7 +171,7 @@ fn chaos_run_loses_no_requests_and_restores_the_pool() {
     // The JSON snapshot carries the panic counts for dashboards.
     let json = engine.status_json();
     assert!(json.contains(&format!("\"worker_panics\":{}", m.worker_panics)));
-    assert!(json.contains(&format!("\"racer_panics\":{}", m.racer_panics)));
+    assert!(json.contains(&format!("\"member_panics\":{}", m.member_panics)));
     engine.shutdown();
 }
 
@@ -245,15 +242,15 @@ fn always_panicking_strategy_yields_all_internal_errors() {
     engine.shutdown();
 }
 
-/// Racer-side chaos only: portfolio answers stay valid (inline FERTAC
-/// carries them), are reported incomplete, and are never cached — a
+/// Member-side chaos only: portfolio answers stay valid (FERTAC and
+/// 2CATAC carry them), are reported incomplete, and are never cached — a
 /// replay of the same instance recomputes.
 #[test]
 fn racer_chaos_never_poisons_the_cache() {
-    struct RacerBomb {
+    struct MemberBomb {
         inner: Box<dyn Scheduler>,
     }
-    impl Scheduler for RacerBomb {
+    impl Scheduler for MemberBomb {
         fn name(&self) -> &'static str {
             self.inner.name()
         }
@@ -264,14 +261,14 @@ fn racer_chaos_never_poisons_the_cache() {
             _: &mut SchedScratch,
             _: &mut Solution,
         ) -> bool {
-            panic!("chaos: racer down");
+            panic!("chaos: member down");
         }
     }
-    // Kill HeRAD (the racer that certifies completeness); FERTAC inline
-    // and the 2CATAC racer still answer.
+    // Kill HeRAD (the member that certifies optimality); FERTAC and
+    // 2CATAC still answer.
     let wrap: StrategyWrap = Arc::new(|inner: Box<dyn Scheduler>| -> Box<dyn Scheduler> {
         if inner.name() == "HeRAD" {
-            Box::new(RacerBomb { inner })
+            Box::new(MemberBomb { inner })
         } else {
             inner
         }
@@ -287,7 +284,7 @@ fn racer_chaos_never_poisons_the_cache() {
                 Policy::Portfolio,
             );
             let outcome = engine.schedule_blocking(req).result.expect("feasible");
-            assert!(!outcome.complete, "a dead racer must clear `complete`");
+            assert!(!outcome.complete, "a dead member must clear `complete`");
             assert!(
                 !outcome.cache_hit,
                 "incomplete outcomes must never be cached"
@@ -299,7 +296,7 @@ fn racer_chaos_never_poisons_the_cache() {
     let m = engine.metrics();
     assert_eq!(m.portfolio_complete, 0);
     assert_eq!(m.portfolio_truncated, 150);
-    assert_eq!(m.racer_panics, 150, "one HeRAD death per request");
+    assert_eq!(m.member_panics, 150, "one HeRAD death per request");
     engine.shutdown();
 }
 
@@ -344,7 +341,6 @@ fn tier_chaos_poisons_nothing_permanently_and_counters_reconcile() {
     });
     let engine = Engine::start(EngineConfig {
         workers: 4,
-        racer_threads: 0,
         queue_depth: 256,
         // No exact-instance LRU: every request must face the tier.
         cache_capacity: 0,
@@ -452,7 +448,6 @@ fn snapshot_write_panic_never_corrupts_the_previous_snapshot() {
     });
     let engine = Engine::start(EngineConfig {
         workers: 1,
-        racer_threads: 0,
         queue_depth: 8,
         tier_fault: Some(tier_fault),
         ..EngineConfig::default()

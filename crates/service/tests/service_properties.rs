@@ -1,19 +1,20 @@
 //! Property-based tests for the scheduling service: cache soundness and
-//! portfolio deadline semantics.
+//! portfolio semantics.
 //!
 //! Cache soundness means a hit is indistinguishable from a fresh compute:
 //! same exact period string, same decomposition, same stages, same core
 //! usage — only the `cache_hit` flag differs. Portfolio semantics mean an
-//! unlimited deadline yields HeRAD's optimal period, while an
-//! already-expired deadline still yields a valid FERTAC-or-better
-//! solution and never an error.
+//! unlimited deadline yields HeRAD's optimal period, an already-expired
+//! deadline still yields a valid FERTAC-or-better solution and never an
+//! error, and an undeadlined portfolio answer is a pure function of the
+//! request.
 
 use std::time::Instant;
 
 use amp_core::sched::{Herad, SchedScratch, Scheduler};
 use amp_core::{Resources, Task, TaskChain};
 use amp_service::{
-    portfolio, CacheKey, Engine, EngineConfig, Policy, PortfolioConfig, RacerPool, ScheduleRequest,
+    portfolio, CacheKey, Engine, EngineConfig, Policy, ScheduleRequest, ServiceMetrics,
     SolutionCache,
 };
 use proptest::prelude::*;
@@ -28,17 +29,31 @@ fn instance() -> impl Strategy<Value = (TaskChain, Resources)> {
         .prop_map(|(tasks, b, l)| (TaskChain::new(tasks), Resources::new(b, l)))
 }
 
-fn small_engine() -> Engine {
+fn small_engine(cache_capacity: usize) -> Engine {
     Engine::start(EngineConfig {
         workers: 2,
-        racer_threads: 4,
         queue_depth: 32,
-        cache_capacity: 256,
+        cache_capacity,
         cache_shards: 4,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: None,
         ..EngineConfig::default()
     })
+}
+
+/// One undeadlined portfolio run on a fresh scratch.
+fn run_portfolio(
+    chain: &TaskChain,
+    res: Resources,
+    deadline: Option<Instant>,
+) -> Option<portfolio::PortfolioOutcome> {
+    portfolio::run(
+        chain,
+        res,
+        deadline,
+        &mut SchedScratch::new(),
+        None,
+        &ServiceMetrics::new(),
+    )
 }
 
 proptest! {
@@ -49,7 +64,7 @@ proptest! {
     /// fresh compute, `cache_hit` flag aside.
     #[test]
     fn cache_hit_is_bit_identical_to_fresh_compute((chain, res) in instance()) {
-        let engine = small_engine();
+        let engine = small_engine(256);
         let req = ScheduleRequest::from_chain(1, &chain, res, Policy::Portfolio);
         let fresh = engine.schedule_blocking(req.clone());
         let replay = engine.schedule_blocking(ScheduleRequest { id: 2, ..req });
@@ -81,8 +96,7 @@ proptest! {
         prop_assert_eq!(&ka, &kb);
         prop_assert_eq!(ka.fingerprint(), kb.fingerprint());
 
-        let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, None, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool);
+        let out = run_portfolio(&chain, res, None);
         prop_assume!(out.is_some());
         let out = out.unwrap();
         let outcome = amp_service::ScheduleOutcome::from_solution(
@@ -99,9 +113,7 @@ proptest! {
     /// is the instance's optimum.
     #[test]
     fn unlimited_deadline_is_herad_optimal((chain, res) in instance()) {
-        let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, None, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool)
-            .expect("at least one core is available");
+        let out = run_portfolio(&chain, res, None).expect("at least one core is available");
         prop_assert!(out.complete);
         let opt = Herad::new().optimal_period(&chain, res).unwrap();
         prop_assert_eq!(out.period, opt);
@@ -114,8 +126,7 @@ proptest! {
     #[test]
     fn tight_deadline_is_valid_and_fertac_or_better((chain, res) in instance()) {
         let deadline = Some(Instant::now());
-        let pool = RacerPool::new(2, None);
-        let out = portfolio::run(&chain, res, deadline, &PortfolioConfig::default(), &mut SchedScratch::new(), &pool)
+        let out = run_portfolio(&chain, res, deadline)
             .expect("FERTAC always answers feasible instances");
         prop_assert!(out.solution.validate(&chain).is_ok());
         prop_assert!(out.solution.is_valid(&chain, res, out.period));
@@ -123,5 +134,26 @@ proptest! {
             .schedule(&chain, res)
             .expect("feasible");
         prop_assert!(out.period <= fertac.period(&chain));
+    }
+
+    /// The winner is a pure function of the request: two uncached
+    /// engines answer the same undeadlined portfolio request with the
+    /// same strategy, stages and period (exact ties keep the earlier
+    /// member, so no scheduling order can decide them).
+    #[test]
+    fn undeadlined_portfolio_answer_is_deterministic((chain, res) in instance()) {
+        let req = ScheduleRequest::from_chain(1, &chain, res, Policy::Portfolio);
+        let (a, b) = (small_engine(0), small_engine(0));
+        let (ra, rb) = (a.schedule_blocking(req.clone()), b.schedule_blocking(req));
+        match (ra.result, rb.result) {
+            (Ok(x), Ok(y)) => {
+                prop_assert!(!x.cache_hit && !y.cache_hit);
+                prop_assert!(x.complete && y.complete);
+                prop_assert_eq!(&x.strategy, &y.strategy);
+                prop_assert_eq!(&x.stages, &y.stages);
+                prop_assert_eq!(&x.period, &y.period);
+            }
+            (x, y) => prop_assert_eq!(x, y, "errors must agree too"),
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Steady-state portfolio requests must spawn no OS threads: the racer
-//! pool is persistent, so after `Engine::start` the thread population
-//! is fixed.
+//! Steady-state portfolio requests must spawn no OS threads: the
+//! portfolio runs inline on the engine's persistent workers, so after
+//! `Engine::start` the thread population is fixed.
 //!
 //! This file deliberately holds a single test so the integration-test
 //! binary runs it alone in its own process — that makes the
@@ -8,7 +8,7 @@
 //! spawning engines concurrently).
 
 use amp_core::{Resources, Task, TaskChain};
-use amp_service::{Engine, EngineConfig, Policy, PortfolioConfig, ScheduleRequest};
+use amp_service::{Engine, EngineConfig, Policy, ScheduleRequest};
 
 fn chain_for(seed: u64) -> TaskChain {
     let len = 1 + (seed % 9) as usize;
@@ -40,16 +40,14 @@ fn os_thread_count() -> Option<u64> {
 fn warm_portfolio_requests_spawn_no_new_threads() {
     let engine = Engine::start(EngineConfig {
         workers: 2,
-        racer_threads: 4,
         queue_depth: 64,
         cache_capacity: 64,
         cache_shards: 2,
-        portfolio: PortfolioConfig::default(),
         fault_wrap: None,
         ..EngineConfig::default()
     });
     // Warm-up: first contact with every chain shape, filling the cache
-    // and growing each worker/racer scratch arena to its final size.
+    // and growing each worker's scratch arena to its final size.
     for id in 0..100u64 {
         let req = ScheduleRequest::from_chain(
             id,
@@ -61,10 +59,7 @@ fn warm_portfolio_requests_spawn_no_new_threads() {
     }
 
     let spawned_before = engine.metrics().threads_spawned;
-    assert_eq!(
-        spawned_before, 6,
-        "2 workers + 4 racers, created once at startup"
-    );
+    assert_eq!(spawned_before, 2, "2 workers, created once at startup");
     let os_before = os_thread_count();
 
     // The measured steady-state run: a mix of cache hits (repeat shapes)

@@ -32,6 +32,12 @@ cargo run --release -p amp-conformance -- --seeds 500 --max-tasks 8 --max-big 4 
 cargo run --release -p amp-conformance -- --seeds 250 --seed-start 1000 --no-corpus --max-tasks 8 --max-big 4 --max-little 4
 scripts/hang_guard.sh 900 cargo test --release -q -p amp-service --test panic_safety --test thread_stability
 
+# Service load gate: 20k requests over 256 distinct instances, one in
+# eight a portfolio with a 200 us deadline (the deadline-truncation
+# path). The load generator itself asserts exactly one response per
+# request, none lost or duplicated.
+scripts/hang_guard.sh 900 cargo run --release -p amp-examples --example service_loadgen -- 20000 256
+
 # Chain-tier gate: the solve-once cache (grow-in-place HeRAD tables,
 # keyed on the chain alone) differentially checked against fresh solves
 # over a wide seed window — extraction at every covered pool, period
